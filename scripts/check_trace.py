@@ -27,7 +27,7 @@ PHASES = {"M", "X", "i", "s", "f"}
 DECISIONS = {
     "admit", "defer", "watermark_reject", "drop", "cancel",
     "preempt_recompute", "preempt_swap", "resume", "cache_hit",
-    "backfill_grant", "handoff", "knob_change",
+    "backfill_grant", "handoff",
 }
 SPAN_NAMES = {"iteration", "step", "prefill_chunk", "transfer"}
 

@@ -47,7 +47,6 @@ DecodeSession::DecodeSession(Engine &eng, const workload::Workload &w,
     specee_assert(instance_ < w_->instances.size(),
                   "session instance out of range");
     kvView_ = dynamic_cast<model::SequenceKv *>(seq_.kv.get());
-    exitThreshold_ = eng_.ecfg_.exit_threshold;
 }
 
 DecodeSession::DecodeSession(Engine &eng, workload::Workload w,
@@ -88,7 +87,6 @@ DecodeSession::DecodeSession(Engine &eng, workload::Workload w,
     rng_ = &*ownedRng_;
 
     kvView_ = dynamic_cast<model::SequenceKv *>(seq_.kv.get());
-    exitThreshold_ = eng_.ecfg_.exit_threshold;
 }
 
 void
@@ -429,7 +427,7 @@ DecodeSession::stepAutoregressive()
                               eng_.ecfg_.online_sched ? &online_
                                                       : nullptr,
                               &out_->stats.oplog, logical_pos, *rng_,
-                              out_->stats, exitThreshold_);
+                              out_->stats);
     em_.tokens.push_back(o.token);
     em_.exit_layers.push_back(o.layers_used);
     out_->stats.avg_forward_layers += o.layers_used;
@@ -457,8 +455,7 @@ DecodeSession::stepSpeculative()
     if (stepIdx_ == 0) {
         auto o = eng_.decodeToken(inst.prompt.back(), inst.steps[0],
                                   *dlm_, fx_, onl, &out.stats.oplog,
-                                  w_->true_prompt_len, *rng_, out.stats,
-                                  exitThreshold_);
+                                  w_->true_prompt_len, *rng_, out.stats);
         em_.tokens.push_back(o.token);
         em_.exit_layers.push_back(o.layers_used);
         out.stats.avg_forward_layers += o.layers_used;
@@ -505,7 +502,7 @@ DecodeSession::stepSpeculative()
             w_->true_prompt_len + static_cast<int>(step);
         auto o = eng_.decodeToken(input, inst.steps[step], *dlm_, fx_,
                                   onl, nullptr, logical_pos, *rng_,
-                                  out.stats, exitThreshold_);
+                                  out.stats);
         if (o.exited) {
             ++fill_nodes;
             min_exit_layers = std::min(min_exit_layers, o.layers_used);

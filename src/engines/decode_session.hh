@@ -288,19 +288,6 @@ class DecodeSession
 
     const workload::Workload &workload() const { return *w_; }
 
-    /**
-     * Override the SpecEE exit-confidence bar for this session's
-     * remaining tokens (the adaptive controller's per-tier
-     * speculation knob). Defaults to the engine's configured
-     * EngineConfig::exit_threshold; already-decoded tokens are
-     * unaffected, so a controller epoch boundary changes behavior
-     * only forward in time.
-     */
-    void setExitThreshold(float t) { exitThreshold_ = t; }
-
-    /** Exit-confidence bar this session decodes under. */
-    float exitThreshold() const { return exitThreshold_; }
-
   private:
     bool stepAutoregressive();
     bool stepSpeculative();
@@ -348,8 +335,6 @@ class DecodeSession
     int lastDeepest_ = 0;
     /** First layer of the last step's KV-fill range ([lo, L)). */
     int lastFillLo_ = 0;
-    /** SpecEE exit bar (EngineConfig default, controller override). */
-    float exitThreshold_ = 0.0f;
     StepCost last_;
 };
 

@@ -457,8 +457,7 @@ Engine::decodeToken(int input_token, const model::TokenScript &script,
                     const model::DraftModel &dlm,
                     core::FeatureExtractor &fx,
                     core::OnlineScheduler *online, hw::OpLog *log,
-                    int logical_pos, Rng &rng, RunStats &stats,
-                    float exit_threshold)
+                    int logical_pos, Rng &rng, RunStats &stats)
 {
     TokenOutcome out;
     const int n_exit = nExitLayers();
@@ -532,7 +531,7 @@ Engine::decodeToken(int input_token, const model::TokenScript &script,
                 chargeLmHeadSliced(*log, 1, mcfg_.num_spec_tokens, 1);
                 chargePredictor(*log, 1, 1);
             }
-            if (!preds_->shouldExit(l, feats, exit_threshold))
+            if (!preds_->shouldExit(l, feats, ecfg_.exit_threshold))
                 continue;
             // Verification (§4.3.3): local result T' vs global result
             // T from the full head at this layer.

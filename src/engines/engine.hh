@@ -176,11 +176,7 @@ class Engine
      * Functionally decode one token (input -> emission) with the
      * configured exit policy. Does not charge costs when
      * `log == nullptr` (used inside speculative passes, which charge
-     * at pass granularity). `exit_threshold` is the SpecEE predictor
-     * confidence bar for this token — sessions pass their own copy
-     * (EngineConfig::exit_threshold unless an adaptive controller
-     * overrode it), so exit aggressiveness is per-request state, not
-     * engine state.
+     * at pass granularity).
      */
     TokenOutcome decodeToken(int input_token,
                              const model::TokenScript &script,
@@ -188,7 +184,7 @@ class Engine
                              core::FeatureExtractor &fx,
                              core::OnlineScheduler *online,
                              hw::OpLog *log, int logical_pos, Rng &rng,
-                             RunStats &stats, float exit_threshold);
+                             RunStats &stats);
 
     /** Assert the configured policies have their trained artifacts. */
     void checkRunnable() const;

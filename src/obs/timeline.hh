@@ -107,14 +107,11 @@ class Timeline
              const std::function<bool(uint64_t)> &attained) const;
 
     /**
-     * Reduce ONE window (index `idx`) as of `end_t` — the online
-     * sampling hook an adaptive controller calls at each decision
-     * epoch, and the per-window kernel finalize() loops over. Rates
-     * divide by the window's COVERED span, min(window end, end_t) −
-     * window start, so a window the run (or the sampling instant)
-     * truncates reports its true rate instead of a deflated one.
-     * `attained` as in finalize(); online callers pass the verdicts
-     * known so far.
+     * Reduce ONE window (index `idx`) as of `end_t` — the per-window
+     * kernel finalize() loops over. Rates divide by the window's
+     * COVERED span, min(window end, end_t) − window start, so a
+     * window the run truncates reports its true rate instead of a
+     * deflated one. `attained` as in finalize().
      */
     TimelineWindow
     reduce(size_t idx, double end_t,

@@ -56,8 +56,6 @@ traceDecisionName(TraceDecision d)
         return "backfill_grant";
     case TraceDecision::Handoff:
         return "handoff";
-    case TraceDecision::KnobChange:
-        return "knob_change";
     }
     return "?";
 }

@@ -64,7 +64,6 @@ enum class TraceDecision : int {
     CacheHit,         ///< admission adopted a cached prefix
     BackfillGrant,    ///< prefill tokens granted into a pipeline bubble
     Handoff,          ///< prefill->decode KV stream initiated
-    KnobChange,       ///< adaptive controller changed scheduler knobs
 };
 
 /** Printable names (JSON event names). */

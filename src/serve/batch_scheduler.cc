@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "hw/memory_tracker.hh"
@@ -39,9 +38,6 @@ BatchScheduler::BatchScheduler(const SchedulerOptions &opts) : opts_(opts)
     specee_assert(opts.max_inflight_per_consumer >= 0,
                   "max_inflight_per_consumer must be >= 0, got %d",
                   opts.max_inflight_per_consumer);
-    specee_assert(opts.max_admissions_per_iteration >= 0,
-                  "max_admissions_per_iteration must be >= 0, got %d",
-                  opts.max_admissions_per_iteration);
     specee_assert(opts.timeline.window_s >= 0.0,
                   "timeline.window_s must be >= 0, got %f",
                   opts.timeline.window_s);
@@ -59,15 +55,6 @@ BatchScheduler::BatchScheduler(const SchedulerOptions &opts) : opts_(opts)
                   "disaggregated prefill devices need chunked prefill "
                   "(prefill.chunk_tokens > 0)");
     PrefillPlanner(opts.prefill); // validates the prefill knobs
-    // Validate the controller's arm sets eagerly (fail fast at
-    // construction, not at the first decision epoch). The exit
-    // defaults here are placeholders — arm validation never reads
-    // the defaults.
-    AdaptiveController(opts.controller,
-                       ControllerKnobs{opts.prefill.chunk_tokens,
-                                       opts.kv_watermark,
-                                       opts.max_admissions_per_iteration,
-                                       0.5f, 0.5f});
 }
 
 namespace {
@@ -238,12 +225,7 @@ BatchScheduler::run(const engines::Pipeline &pipe,
         cache.emplace(mcfg.n_layers, pools);
     uint64_t cache_stamp = 0; ///< fleet-global LRU clock
 
-    // Live prefill knobs: the adaptive controller may retune the
-    // chunk size at epoch boundaries (rebuilding the planner), but
-    // never toggles chunking itself — `chunked` is structural and
-    // fixed for the whole run.
-    PrefillOptions pf_opts = opts_.prefill;
-    PrefillPlanner planner(pf_opts);
+    const PrefillPlanner planner(opts_.prefill);
     const bool chunked = planner.enabled();
 
     // Worst-case block growth of one session in one iteration: every
@@ -348,35 +330,6 @@ BatchScheduler::run(const engines::Pipeline &pipe,
     obs::Timeline timeline(opts_.timeline, t0, mcfg.n_layers, n_stages);
     long slo_tokens = 0; ///< tokens delivered by attaining requests
 
-    // --- adaptive control plane ------------------------------------
-    // The controller starts from the static knob values and runs on
-    // the modeled clock: each epoch it reads its PRIVATE windowed
-    // timeline (epoch-width windows, independent of the user-facing
-    // one) and Thompson-samples the next knob setting. All live knob
-    // state lives in the locals below; with the controller off they
-    // hold the static values forever and every path is bit-identical
-    // to the controller-less scheduler.
-    AdaptiveController ctl(
-        opts_.controller,
-        ControllerKnobs{opts_.prefill.chunk_tokens, opts_.kv_watermark,
-                        opts_.max_admissions_per_iteration,
-                        ecfg.exit_threshold, ecfg.exit_threshold});
-    const bool controlled = ctl.enabled();
-    obs::TimelineOptions ctl_tl_opts;
-    if (controlled)
-        ctl_tl_opts.window_s = ctl.epochSeconds();
-    obs::Timeline ctl_tl(ctl_tl_opts, t0, mcfg.n_layers, n_stages);
-    size_t ctl_epoch = 0; ///< next decision window to close
-    // SLO verdicts known SO FAR: the controller's reward
-    // attribution. Written at retirement (drop / cancel / complete)
-    // and eagerly the moment an in-flight request blows a TTFT or
-    // ITL bound — a breach is irrevocable, so waiting for retirement
-    // would keep crediting doomed requests and bias window rewards
-    // optimistic. In-flight requests otherwise default to attained —
-    // they have not failed anything yet.
-    std::unordered_map<uint64_t, bool> online_attained;
-    double kv_watermark = opts_.kv_watermark;
-    int admit_cap = opts_.max_admissions_per_iteration;
     const auto decision = [&](obs::TraceDecision d, uint64_t req_id,
                               int d_tokens = 0) {
         if (!tracing)
@@ -446,8 +399,6 @@ BatchScheduler::run(const engines::Pipeline &pipe,
         finishTimeline(e, o);
         // An unfinished request fails every configured objective.
         judgeSlo(e, o, false);
-        if (controlled)
-            online_attained[e.req.id] = false;
         decision(obs::TraceDecision::Drop, e.req.id);
         ++fleet.dropped;
         // Gaps already delivered count toward fleet ITL (they are in
@@ -557,7 +508,7 @@ BatchScheduler::run(const engines::Pipeline &pipe,
         int sim = prompt;
         if (chunked) {
             const int total = std::max(e.w.true_prompt_len, 1);
-            const int chunk = std::min(pf_opts.chunk_tokens, total);
+            const int chunk = std::min(opts_.prefill.chunk_tokens, total);
             // A single-chunk prompt reserves exactly what the atomic
             // path would; smaller chunks reserve the first chunk's
             // proportional share of the sim prefix.
@@ -574,57 +525,6 @@ BatchScheduler::run(const engines::Pipeline &pipe,
 
     while (!waiting.empty() || !active.empty() || !swappedQ.empty() ||
            !prefilling.empty() || !handoffQ.empty()) {
-        // --- adaptive control plane: close due decision epochs -----
-        // Every epoch window the modeled clock has fully passed is
-        // reduced (covered-span rates, verdicts known so far) and
-        // fed to the controller; sampled knob changes land HERE, at
-        // an iteration boundary, before any admission or planning
-        // below reads them.
-        if (controlled) {
-            const double ep_w = ctl.epochSeconds();
-            while (t0 + static_cast<double>(ctl_epoch + 1) * ep_w <=
-                   clock) {
-                const obs::TimelineWindow win = ctl_tl.reduce(
-                    ctl_epoch, clock, [&](uint64_t id) {
-                        const auto it = online_attained.find(id);
-                        return it == online_attained.end() ||
-                               it->second;
-                    });
-                const int changed = ctl.decide(clock, win);
-                ++ctl_epoch;
-                if (changed == 0)
-                    continue;
-                decision(obs::TraceDecision::KnobChange, 0, changed);
-                const ControllerKnobs &k = ctl.knobs();
-                kv_watermark = k.kv_watermark;
-                admit_cap = k.max_admissions_per_iteration;
-                if (chunked && k.chunk_tokens != pf_opts.chunk_tokens) {
-                    pf_opts.chunk_tokens = k.chunk_tokens;
-                    planner = PrefillPlanner(pf_opts);
-                }
-                // Per-tier speculation aggressiveness applies to
-                // every LIVE session forward in time (frozen swapped
-                // sessions included — they resume under the current
-                // policy).
-                const auto retune = [&](Entry &e) {
-                    if (!e.sess)
-                        return;
-                    e.sess->setExitThreshold(
-                        e.req.priority == Priority::Interactive
-                            ? k.interactive_exit_threshold
-                            : k.batch_exit_threshold);
-                };
-                for (auto &a : active)
-                    retune(a);
-                for (auto &p : prefilling)
-                    retune(p);
-                for (auto &h : handoffQ)
-                    retune(h);
-                for (auto &s : swappedQ)
-                    retune(s);
-            }
-        }
-
         // --- iteration boundary: settle landed DMAs first ----------
         // A transfer whose channel time has passed unpins its
         // session's blocks; admission and stepping below then see
@@ -762,10 +662,6 @@ BatchScheduler::run(const engines::Pipeline &pipe,
         }
 
         bool deferred = false;
-        // Fresh admissions this boundary (admit_cap gates them;
-        // swap-ins and handoff completions resume work already
-        // admitted and are never capped, so progress always holds).
-        int fresh_admits = 0;
         // Restore a swapped candidate into a decode slot. Overlap
         // off: the host-link DMA serializes on the fleet clock, as
         // ever. Overlap on: the functional restore happens now (KV
@@ -819,25 +715,21 @@ BatchScheduler::run(const engines::Pipeline &pipe,
             if (sw == swappedQ.size())
                 sw = sw_any;
             size_t cand = waiting.size();
-            if (admit_cap <= 0 || fresh_admits < admit_cap) {
-                for (size_t i = 0; i < waiting.size(); ++i) {
-                    // Future arrivals are a contiguous sorted tail
-                    // (victims re-enter at the front, already
-                    // arrived).
-                    if (waiting[i].req.arrival_s > clock)
-                        break;
-                    if (saturated(waiting[i].req)) {
-                        deferred = true;
-                        continue;
-                    }
-                    if (waiting[i].req.priority ==
-                        Priority::Interactive) {
-                        cand = i;
-                        break;
-                    }
-                    if (cand == waiting.size())
-                        cand = i;
+            for (size_t i = 0; i < waiting.size(); ++i) {
+                // Future arrivals are a contiguous sorted tail
+                // (victims re-enter at the front, already arrived).
+                if (waiting[i].req.arrival_s > clock)
+                    break;
+                if (saturated(waiting[i].req)) {
+                    deferred = true;
+                    continue;
                 }
+                if (waiting[i].req.priority == Priority::Interactive) {
+                    cand = i;
+                    break;
+                }
+                if (cand == waiting.size())
+                    cand = i;
             }
             const bool have_sw = sw < swappedQ.size();
             const bool have_wa = cand < waiting.size();
@@ -877,7 +769,7 @@ BatchScheduler::run(const engines::Pipeline &pipe,
             // Otherwise a long prompt admitted against today's
             // near-empty occupancy would chunk, grow, evict and
             // recompute in a loop under a tight budget.
-            if (kv_watermark > 0.0 && opts_.kv_budget_blocks > 0 &&
+            if (opts_.kv_watermark > 0.0 && opts_.kv_budget_blocks > 0 &&
                 !active.empty()) {
                 long committed =
                     fullRequestBlocks(head, peekCached(head));
@@ -887,7 +779,7 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                         committed +
                         iter_growth *
                             static_cast<long>(active.size() + 1)) >
-                    kv_watermark * opts_.kv_budget_blocks) {
+                    opts_.kv_watermark * opts_.kv_budget_blocks) {
                     ++fleet.watermark_rejections;
                     decision(obs::TraceDecision::WatermarkReject,
                              head.req.id);
@@ -931,12 +823,6 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                              m.true_matched);
                 }
             }
-            if (controlled) {
-                e.sess->setExitThreshold(
-                    e.req.priority == Priority::Interactive
-                        ? ctl.knobs().interactive_exit_threshold
-                        : ctl.knobs().batch_exit_threshold);
-            }
             if (!chunked) {
                 // Atomic legacy prefill: free and instantaneous. A
                 // full-prompt cache hit already completed it.
@@ -948,7 +834,6 @@ BatchScheduler::run(const engines::Pipeline &pipe,
             if (e.first_admit_s < 0.0)
                 e.first_admit_s = clock;
             ++fleet.admissions;
-            ++fresh_admits;
             decision(obs::TraceDecision::Admit, e.req.id);
             active.push_back(std::move(e));
         }
@@ -1050,8 +935,6 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                static_cast<int>(prefilling.size()) < n_prefill_dev &&
                prefilling.size() + handoffQ.size() <
                    slots + static_cast<size_t>(n_prefill_dev)) {
-            if (admit_cap > 0 && fresh_admits >= admit_cap)
-                break;
             size_t cand = waiting.size();
             for (size_t i = 0; i < waiting.size(); ++i) {
                 if (waiting[i].req.arrival_s > clock)
@@ -1082,7 +965,7 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                         iter_growth * (n_sessions + 1) >
                     opts_.kv_budget_blocks)
                 break;
-            if (kv_watermark > 0.0 && opts_.kv_budget_blocks > 0 &&
+            if (opts_.kv_watermark > 0.0 && opts_.kv_budget_blocks > 0 &&
                 !fleet_empty) {
                 long committed =
                     fullRequestBlocks(head, peekCached(head));
@@ -1094,7 +977,7 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                     committed += fullRequestBlocks(h, h.sim_adopted);
                 if (static_cast<double>(
                         committed + iter_growth * (n_sessions + 1)) >
-                    kv_watermark * opts_.kv_budget_blocks) {
+                    opts_.kv_watermark * opts_.kv_budget_blocks) {
                     ++fleet.watermark_rejections;
                     decision(obs::TraceDecision::WatermarkReject,
                              head.req.id);
@@ -1143,16 +1026,9 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                              m.true_matched);
                 }
             }
-            if (controlled) {
-                e.sess->setExitThreshold(
-                    e.req.priority == Priority::Interactive
-                        ? ctl.knobs().interactive_exit_threshold
-                        : ctl.knobs().batch_exit_threshold);
-            }
             if (e.first_admit_s < 0.0)
                 e.first_admit_s = clock;
             ++fleet.admissions;
-            ++fresh_admits;
             decision(obs::TraceDecision::Admit, e.req.id);
             e.pf_done = false;
             // A full-prompt cache hit skips the device entirely: the
@@ -1185,7 +1061,7 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                 const int remaining = p.sess->prefillRemaining();
                 if (remaining > 0) {
                     const int chunk =
-                        std::min(pf_opts.chunk_tokens, remaining);
+                        std::min(opts_.prefill.chunk_tokens, remaining);
                     const int consumed = p.sess->prefillChunk(chunk);
                     const auto &c = p.sess->lastStep();
                     const double dt_pf = c.shared_s + c.private_s;
@@ -1669,22 +1545,10 @@ BatchScheduler::run(const engines::Pipeline &pipe,
             for (size_t i = a.streamed; i < em.tokens.size(); ++i) {
                 ++fleet.tokens;
                 timeline.recordTokens(clock, a.req.id, 1);
-                ctl_tl.recordTokens(clock, a.req.id, 1);
                 if (a.first_token_s < 0.0) {
                     a.first_token_s = clock;
                     const double ttft = clock - a.req.arrival_s;
                     timeline.recordTtft(clock, ttft);
-                    ctl_tl.recordTtft(clock, ttft);
-                    // A blown TTFT bound is a verdict knowable NOW:
-                    // the retirement judgement cannot un-fail it, so
-                    // the controller's reward attribution must not
-                    // keep crediting this request until then.
-                    if (controlled) {
-                        const obs::SloSpec &spec = opts_.slo.tier(
-                            static_cast<int>(a.req.priority));
-                        if (spec.ttft_s > 0.0 && ttft > spec.ttft_s)
-                            online_attained[a.req.id] = false;
-                    }
                 } else {
                     const double gap = clock - a.last_token_s;
                     a.itl_sum_s += gap;
@@ -1692,15 +1556,6 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                     itl_samples.push_back(gap);
                     a.itl_max_s = std::max(a.itl_max_s, gap);
                     timeline.recordItl(clock, gap);
-                    ctl_tl.recordItl(clock, gap);
-                    // Same for an inter-token gap past the tier's
-                    // ITL bound: the request is doomed mid-flight.
-                    if (controlled) {
-                        const obs::SloSpec &spec = opts_.slo.tier(
-                            static_cast<int>(a.req.priority));
-                        if (spec.itl_s > 0.0 && gap > spec.itl_s)
-                            online_attained[a.req.id] = false;
-                    }
                 }
                 a.last_token_s = clock;
                 if (on_token &&
@@ -1781,10 +1636,6 @@ BatchScheduler::run(const engines::Pipeline &pipe,
             clock, static_cast<int>(active.size()), busy_stages,
             blocks, host_blocks,
             cache_on ? cache->heldBlocks() : 0);
-        ctl_tl.recordIteration(
-            clock, static_cast<int>(active.size()), busy_stages,
-            blocks, host_blocks,
-            cache_on ? cache->heldBlocks() : 0);
 
         // --- retire finished and cancelled sessions ----------------
         size_t keep = 0;
@@ -1802,8 +1653,6 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                                ? a.first_token_s - a.req.arrival_s
                                : 0.0;
                 ++fleet.cancelled;
-                if (controlled)
-                    online_attained[a.req.id] = false;
                 decision(obs::TraceDecision::Cancel, a.req.id);
                 itl_sum += a.itl_sum_s;
                 itl_gaps += a.itl_gaps;
@@ -1824,8 +1673,6 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                                      static_cast<double>(a.itl_gaps)
                                : 0.0;
             judgeSlo(a, o, true);
-            if (controlled)
-                online_attained[a.req.id] = o.slo.attained();
             if (o.slo.attained())
                 slo_tokens += static_cast<long>(a.streamed);
             if (tracing) {
@@ -1952,8 +1799,6 @@ BatchScheduler::run(const engines::Pipeline &pipe,
         fleet.timeline = timeline.finalize(
             clock, [&](uint64_t id) { return attained.count(id) > 0; });
     }
-    if (controlled)
-        fleet.controller = ctl.stats();
     return fleet;
 }
 

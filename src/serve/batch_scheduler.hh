@@ -68,7 +68,6 @@
 #include "obs/slo.hh"
 #include "obs/timeline.hh"
 #include "obs/trace.hh"
-#include "serve/controller.hh"
 #include "serve/prefill_planner.hh"
 #include "serve/prefix_cache.hh"
 #include "serve/request.hh"
@@ -251,30 +250,6 @@ struct SchedulerOptions
      * identical to the uncapped scheduler.
      */
     int max_inflight_per_consumer = 0;
-
-    /**
-     * Cap on FRESH admissions per iteration boundary (fresh
-     * candidates and disaggregated prefill starts; swap-in restores
-     * and handoff completions are never capped — they resume work
-     * already admitted). Smooths the prefill-burst ITL spike of an
-     * arrival wave at the cost of queueing delay. 0 (default)
-     * disables, bit-identical to the uncapped scheduler.
-     */
-    int max_admissions_per_iteration = 0;
-
-    /**
-     * SLO-driven adaptive control plane (serve::AdaptiveController):
-     * at every decision epoch of the modeled clock the controller
-     * reads the just-closed metrics window and Thompson-samples the
-     * next setting of each controlled knob — prefill chunk size, KV
-     * watermark, fresh-admission cap, per-tier exit thresholds —
-     * from its discrete arm set, optimizing windowed SLO attainment.
-     * Knob changes land at iteration boundaries and are recorded as
-     * knob_change trace decisions and in FleetStats::controller.
-     * Off (default) is bit-identical — emissions AND modeled costs —
-     * to the controller-less scheduler.
-     */
-    ControllerOptions controller;
 
     /**
      * Per-tier service-level objectives (TTFT / worst ITL / e2e
@@ -516,14 +491,6 @@ struct FleetStats
      * the timeline but not re-counted here.
      */
     hw::OpLog oplog;
-
-    /**
-     * Adaptive-controller outcome (SchedulerOptions::controller):
-     * epochs closed, knob changes applied, and the full knob
-     * trajectory with per-epoch rewards. Empty while the controller
-     * is off.
-     */
-    ControllerStats controller;
 };
 
 /**

@@ -378,8 +378,7 @@ TEST(Timeline, ReduceIsTheOnlineSamplingKernel)
     tl.recordTokens(0.6, /*request=*/1, 3);
     tl.recordTokens(0.7, /*request=*/2, 1);
     tl.recordIteration(0.6, 2, 1, 8, 0, 0);
-    // Sampling window 1 mid-window (covered span 0.25 s) — what the
-    // adaptive controller reads at a decision epoch.
+    // Sampling window 1 mid-window (covered span 0.25 s).
     const auto win =
         tl.reduce(1, 0.75, [](uint64_t id) { return id == 1; });
     EXPECT_EQ(win.tokens, 4);

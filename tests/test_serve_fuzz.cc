@@ -51,15 +51,6 @@
  *     step / chunk spans never overlap within one (device, lane)
  *     track; and the merged trace, the timeline windows and the SLO
  *     verdicts are bit-identical across worker counts.
- * 10. adaptive control plane (random controller draws): the knob
- *     trajectory is bit-identical across worker counts, every chosen
- *     knob value is a member of its arm set (frozen knobs never
- *     move), the trace's knob-change events reconcile exactly with
- *     the trajectory, a configured-but-disabled controller is
- *     bit-identical to a controller-free build, and emissions stay
- *     pinned to the isolated reference decode unless the controller
- *     steers the exit thresholds (the one knob allowed to change
- *     WHAT is generated, not just when).
  *
  * The default seed set is fixed (CI runs it in Release and under
  * TSan); SPECEE_FUZZ_SEEDS=<n> widens the sweep locally.
@@ -213,33 +204,6 @@ drawScenario(uint64_t seed)
         sc.opts.sched.slo.batch.deadline_s = rng.uniform(0.5, 20.0);
     }
 
-    // --- adaptive control plane ------------------------------------
-    // Controller-on draws steer live knobs online. Exit-threshold
-    // arms legitimately change WHAT is generated, so checkInvariants
-    // relaxes only the reference-stream identity for those draws;
-    // everything structural still holds.
-    if (rng.bernoulli(0.35)) {
-        auto &ctl = sc.opts.sched.controller;
-        ctl.enabled = true;
-        ctl.seed = rng.next();
-        ctl.epoch_s = rng.uniform(0.05, 0.5);
-        if (sc.opts.sched.prefill.chunk_tokens > 0 &&
-            rng.bernoulli(0.5))
-            ctl.chunk_arms = {64, 256};
-        if (rng.bernoulli(0.5))
-            ctl.watermark_arms = {0.5, 0.7, 0.9};
-        if (rng.bernoulli(0.5))
-            ctl.admit_arms = {0, 1, 2, 4};
-        if (rng.bernoulli(0.5)) {
-            ctl.interactive_exit_arms = {0.3f, 0.5f, 0.7f};
-            ctl.batch_exit_arms = {0.3f, 0.5f, 0.7f};
-        }
-    }
-    // A static fresh-admission cap must stay invariant-clean with or
-    // without the controller steering it.
-    if (rng.bernoulli(0.25))
-        sc.opts.sched.max_admissions_per_iteration =
-            rng.uniformInt(0, 2);
     return sc;
 }
 
@@ -345,8 +309,7 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
         EXPECT_EQ(fleet.peak_host_kv_blocks, 0);
     }
     EXPECT_GE(fleet.swaps_out, fleet.swaps_in);
-    if (sc.opts.sched.kv_watermark <= 0.0 &&
-        sc.opts.sched.controller.watermark_arms.empty()) {
+    if (sc.opts.sched.kv_watermark <= 0.0) {
         EXPECT_EQ(fleet.watermark_rejections, 0);
     }
 
@@ -424,13 +387,10 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
     } else {
         std::map<obs::TraceDecision, long> dec;
         long iterations = 0;
-        long knob_change_tokens = 0;
         for (const auto &ev : fleet.trace) {
             EXPECT_LE(ev.t0, ev.t1);
             if (ev.kind == obs::TraceKind::Decision) {
                 ++dec[ev.decision];
-                if (ev.decision == obs::TraceDecision::KnobChange)
-                    knob_change_tokens += ev.tokens;
             } else if (ev.kind == obs::TraceKind::Iteration) {
                 ++iterations;
             }
@@ -454,14 +414,6 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
                   fleet.watermark_rejections);
         EXPECT_EQ(dec[obs::TraceDecision::Defer],
                   fleet.backpressure_deferrals);
-        // One knob-change instant per epoch that moved something,
-        // carrying the number of knobs moved.
-        long change_epochs = 0;
-        for (const auto &ep : fleet.controller.trajectory)
-            if (ep.changed > 0)
-                ++change_epochs;
-        EXPECT_EQ(dec[obs::TraceDecision::KnobChange], change_epochs);
-        EXPECT_EQ(knob_change_tokens, fleet.controller.knob_changes);
         // Execution spans never overlap within one (device, lane)
         // track: a session's span is bounded by its device's
         // iteration time, which is bounded by the clock advance (the
@@ -513,99 +465,14 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
         EXPECT_LE(fleet.slo_attained, fleet.slo_evaluated);
     }
 
-    // (10) adaptive control plane: off = no trajectory at all; on =
-    // every chosen knob value is a member of its arm set, frozen
-    // knobs never leave their static value, and the change counters
-    // agree with the trajectory.
-    const auto &cop = sc.opts.sched.controller;
-    if (!cop.enabled) {
-        EXPECT_EQ(fleet.controller.epochs, 0);
-        EXPECT_EQ(fleet.controller.knob_changes, 0);
-        EXPECT_TRUE(fleet.controller.trajectory.empty());
-    } else {
-        EXPECT_EQ(fleet.controller.epochs,
-                  static_cast<long>(fleet.controller.trajectory.size()));
-        const auto member = [](const auto &arms, auto v) {
-            return std::find(arms.begin(), arms.end(), v) != arms.end();
-        };
-        long changes = 0;
-        for (const auto &ep : fleet.controller.trajectory) {
-            changes += ep.changed;
-            if (ep.reward_valid) {
-                EXPECT_GE(ep.reward, 0.0);
-                EXPECT_LE(ep.reward, 1.0);
-            }
-            if (!cop.chunk_arms.empty() &&
-                sc.opts.sched.prefill.chunk_tokens > 0) {
-                EXPECT_TRUE(
-                    member(cop.chunk_arms, ep.knobs.chunk_tokens));
-            } else {
-                EXPECT_EQ(ep.knobs.chunk_tokens,
-                          sc.opts.sched.prefill.chunk_tokens);
-            }
-            if (!cop.watermark_arms.empty()) {
-                EXPECT_TRUE(member(cop.watermark_arms,
-                                   ep.knobs.kv_watermark));
-            } else {
-                EXPECT_EQ(ep.knobs.kv_watermark,
-                          sc.opts.sched.kv_watermark);
-            }
-            if (!cop.admit_arms.empty()) {
-                EXPECT_TRUE(
-                    member(cop.admit_arms,
-                           ep.knobs.max_admissions_per_iteration));
-            } else {
-                EXPECT_EQ(ep.knobs.max_admissions_per_iteration,
-                          sc.opts.sched.max_admissions_per_iteration);
-            }
-            if (!cop.interactive_exit_arms.empty()) {
-                EXPECT_TRUE(
-                    member(cop.interactive_exit_arms,
-                           ep.knobs.interactive_exit_threshold));
-            }
-            if (!cop.batch_exit_arms.empty()) {
-                EXPECT_TRUE(member(cop.batch_exit_arms,
-                                   ep.knobs.batch_exit_threshold));
-            }
-        }
-        // A frozen exit knob never moves off its (engine-derived)
-        // starting value.
-        if (!fleet.controller.trajectory.empty()) {
-            const auto &first = fleet.controller.trajectory.front();
-            for (const auto &ep : fleet.controller.trajectory) {
-                if (cop.interactive_exit_arms.empty()) {
-                    EXPECT_EQ(ep.knobs.interactive_exit_threshold,
-                              first.knobs.interactive_exit_threshold);
-                }
-                if (cop.batch_exit_arms.empty()) {
-                    EXPECT_EQ(ep.knobs.batch_exit_threshold,
-                              first.knobs.batch_exit_threshold);
-                }
-            }
-        }
-        EXPECT_EQ(changes, fleet.controller.knob_changes);
-    }
-
     // (2) delivered streams are exact prefixes of the isolated
-    // decode; completed requests deliver it in full. Exit-threshold
-    // steering is the one knob that changes the generated tokens
-    // themselves, so those draws only pin the stream against its own
-    // finalized emission.
-    const bool emissions_steered =
-        cop.enabled && (!cop.interactive_exit_arms.empty() ||
-                        !cop.batch_exit_arms.empty());
+    // decode; completed requests deliver it in full.
     long delivered_total = 0;
     for (const auto &o : rep.outcomes) {
         const auto it = cap.delivered.find(o.request.id);
         const std::vector<int> empty;
         const auto &got = it == cap.delivered.end() ? empty : it->second;
         delivered_total += static_cast<long>(got.size());
-        if (emissions_steered) {
-            if (!o.dropped && !o.cancelled) {
-                EXPECT_EQ(o.result.emissions[0].tokens, got);
-            }
-            continue;
-        }
         const auto &ref = referenceTokens(o.request, refs);
         ASSERT_LE(got.size(), ref.size())
             << "request " << o.request.id << " over-delivered";
@@ -639,8 +506,6 @@ struct Coverage
     long trace_events = 0;
     long timeline_windows = 0;
     long slo_evaluated = 0;
-    long controller_epochs = 0;
-    long knob_changes = 0;
 };
 
 /** Bitwise equality of two merged traces (worker-count invariance). */
@@ -811,50 +676,6 @@ directedScenarios()
         out.push_back(std::move(sc));
     }
     {
-        // Adaptive-control coverage: every knob armed under fast
-        // epochs, KV pressure, trace and both tiers' SLOs —
-        // guarantees decision epochs, knob changes and the
-        // knob-change trace reconciliation engage regardless of the
-        // random draws.
-        serve::StreamOptions shorts;
-        shorts.n_requests = 4;
-        shorts.gen_len = 16;
-        shorts.seed = 0xad41;
-        serve::StreamOptions longs;
-        longs.n_requests = 3;
-        longs.gen_len = 12;
-        longs.prompt_len = 2048;
-        longs.priority = serve::Priority::Batch;
-        longs.id_base = 100;
-        longs.seed = 0xad42;
-        Scenario sc;
-        sc.stream = serve::mergeStreams(serve::synthesizeStream(shorts),
-                                        serve::synthesizeStream(longs));
-        sc.opts.engine =
-            engines::EngineConfig::huggingFace().withSpecEE();
-        sc.opts.spec = hw::HardwareSpec::a100();
-        sc.opts.sched.max_batch = 4;
-        sc.opts.sched.prefill.chunk_tokens = 128;
-        sc.opts.sched.kv_budget_blocks = 150;
-        sc.opts.sched.preempt_mode = serve::PreemptMode::Swap;
-        sc.opts.sched.kv_watermark = 0.9;
-        sc.opts.sched.trace.enabled = true;
-        sc.opts.sched.timeline.window_s = 0.25;
-        sc.opts.sched.slo.interactive.ttft_s = 0.5;
-        sc.opts.sched.slo.interactive.itl_s = 0.1;
-        sc.opts.sched.slo.batch.deadline_s = 20.0;
-        auto &ctl = sc.opts.sched.controller;
-        ctl.enabled = true;
-        ctl.seed = 7;
-        ctl.epoch_s = 0.05;
-        ctl.chunk_arms = {64, 256};
-        ctl.watermark_arms = {0.6, 0.9};
-        ctl.admit_arms = {0, 2};
-        ctl.interactive_exit_arms = {0.3f, 0.6f};
-        ctl.batch_exit_arms = {0.3f, 0.6f};
-        out.push_back(std::move(sc));
-    }
-    {
         // Backpressure coverage: one consumer, cap 1 — every
         // boundary with queued peers defers, yet the stream drains.
         serve::StreamOptions so;
@@ -899,8 +720,6 @@ fuzzScenario(const Scenario &sc, Coverage &cov)
     cov.timeline_windows +=
         static_cast<long>(r1.rep.fleet.timeline.size());
     cov.slo_evaluated += r1.rep.fleet.slo_evaluated;
-    cov.controller_epochs += r1.rep.fleet.controller.epochs;
-    cov.knob_changes += r1.rep.fleet.controller.knob_changes;
     EXPECT_DOUBLE_EQ(r1.rep.fleet.makespan_s, r3.rep.fleet.makespan_s);
     EXPECT_DOUBLE_EQ(r1.rep.fleet.energy_j, r3.rep.fleet.energy_j);
     EXPECT_EQ(r1.rep.fleet.tokens, r3.rep.fleet.tokens);
@@ -976,42 +795,12 @@ fuzzScenario(const Scenario &sc, Coverage &cov)
     EXPECT_DOUBLE_EQ(r1.rep.fleet.goodput_under_slo,
                      r3.rep.fleet.goodput_under_slo);
 
-    // (10) the knob trajectory is a pure function of the modeled
-    // run: bit-identical across worker counts, epoch by epoch.
-    const auto &c1 = r1.rep.fleet.controller;
-    const auto &c3 = r3.rep.fleet.controller;
-    EXPECT_EQ(c1.epochs, c3.epochs);
-    EXPECT_EQ(c1.knob_changes, c3.knob_changes);
-    ASSERT_EQ(c1.trajectory.size(), c3.trajectory.size());
-    for (size_t i = 0; i < c1.trajectory.size(); ++i) {
-        const auto &a = c1.trajectory[i];
-        const auto &b = c3.trajectory[i];
-        EXPECT_EQ(a.epoch, b.epoch) << "epoch " << i;
-        EXPECT_DOUBLE_EQ(a.t, b.t) << "epoch " << i;
-        EXPECT_DOUBLE_EQ(a.reward, b.reward) << "epoch " << i;
-        EXPECT_EQ(a.reward_valid, b.reward_valid) << "epoch " << i;
-        EXPECT_EQ(a.changed, b.changed) << "epoch " << i;
-        EXPECT_EQ(a.knobs.chunk_tokens, b.knobs.chunk_tokens);
-        EXPECT_DOUBLE_EQ(a.knobs.kv_watermark, b.knobs.kv_watermark);
-        EXPECT_EQ(a.knobs.max_admissions_per_iteration,
-                  b.knobs.max_admissions_per_iteration);
-        EXPECT_EQ(a.knobs.interactive_exit_threshold,
-                  b.knobs.interactive_exit_threshold);
-        EXPECT_EQ(a.knobs.batch_exit_threshold,
-                  b.knobs.batch_exit_threshold);
-    }
-
     // (9) all three observability knobs together are bit-inert: the
     // same scenario with every knob off reproduces the modeled run
-    // exactly and produces no artifacts. Not claimed for
-    // controller-on draws — the controller deliberately closes the
-    // observability loop (its rewards read the SLO verdicts), so
-    // there the disabled-controller inertness check below takes
-    // over.
-    if (!sc.opts.sched.controller.enabled &&
-        (sc.opts.sched.trace.enabled ||
-         sc.opts.sched.timeline.window_s > 0.0 ||
-         sc.opts.sched.slo.any())) {
+    // exactly and produces no artifacts.
+    if (sc.opts.sched.trace.enabled ||
+        sc.opts.sched.timeline.window_s > 0.0 ||
+        sc.opts.sched.slo.any()) {
         Scenario plain = sc;
         plain.opts.sched.trace.enabled = false;
         plain.opts.sched.timeline.window_s = 0.0;
@@ -1031,34 +820,11 @@ fuzzScenario(const Scenario &sc, Coverage &cov)
         EXPECT_EQ(rp.rep.fleet.slo_evaluated, 0);
     }
 
-    // (10) a configured-but-disabled controller is bit-inert: it
-    // reproduces a run with no controller configured at all, and the
-    // strict reference-stream identity holds again.
-    if (sc.opts.sched.controller.enabled) {
-        Scenario off = sc;
-        off.opts.sched.controller.enabled = false;
-        Scenario none = sc;
-        none.opts.sched.controller = serve::ControllerOptions{};
-        const RunCapture ro = runScenario(off, 1);
-        const RunCapture rn = runScenario(none, 1);
-        checkInvariants(none, rn, refs);
-        EXPECT_DOUBLE_EQ(ro.rep.fleet.makespan_s,
-                         rn.rep.fleet.makespan_s);
-        EXPECT_DOUBLE_EQ(ro.rep.fleet.energy_j, rn.rep.fleet.energy_j);
-        EXPECT_EQ(ro.rep.fleet.tokens, rn.rep.fleet.tokens);
-        EXPECT_EQ(ro.rep.fleet.iterations, rn.rep.fleet.iterations);
-        EXPECT_EQ(ro.rep.fleet.preemptions, rn.rep.fleet.preemptions);
-        EXPECT_EQ(ro.delivered, rn.delivered);
-        EXPECT_EQ(ro.rep.fleet.controller.epochs, 0);
-        EXPECT_TRUE(ro.rep.fleet.controller.trajectory.empty());
-    }
-
     // (5) auto is never worse than the dearer fixed mechanism on the
     // same stream (comparable only when no deadline/cancel path can
-    // change WHAT runs between modes, and no controller retunes the
-    // knobs differently per mode).
+    // change WHAT runs between modes).
     if (sc.opts.sched.kv_budget_blocks > 0 && !sc.has_deadlines &&
-        sc.cancel_after == 0 && !sc.opts.sched.controller.enabled) {
+        sc.cancel_after == 0) {
         Scenario fixed = sc;
         fixed.opts.sched.preempt_mode = serve::PreemptMode::Recompute;
         const RunCapture rec = runScenario(fixed, 1);
@@ -1137,6 +903,4 @@ TEST(ServeFuzz, RandomizedSchedulerInvariants)
     EXPECT_GT(cov.trace_events, 0);
     EXPECT_GT(cov.timeline_windows, 0);
     EXPECT_GT(cov.slo_evaluated, 0);
-    EXPECT_GT(cov.controller_epochs, 0);
-    EXPECT_GT(cov.knob_changes, 0);
 }
