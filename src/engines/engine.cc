@@ -19,11 +19,26 @@ constexpr double kFp16 = 2.0;
 constexpr double kQ4Factor = 4.5 / 16.0; ///< Q4 bytes per fp16 byte
 } // namespace
 
+model::TargetModelOptions
+Engine::modelOptions(const EngineConfig &ecfg,
+                     const model::ModelConfig &mcfg)
+{
+    model::TargetModelOptions opts;
+    opts.quantized = ecfg.quantized;
+    opts.weight_backend = ecfg.weight_backend;
+    opts.paged_kv = ecfg.paged_kv;
+    opts.sparse_ffn = ecfg.sparse_ffn;
+    opts.ffn_active_frac = ecfg.ffn_active_frac;
+    opts.noise_seed = mcfg.weight_seed ^ 0xa0153;
+    return opts;
+}
+
 Engine::Engine(const EngineConfig &ecfg, const model::ModelConfig &mcfg,
                const hw::HardwareSpec &spec,
-               const oracle::SyntheticCorpus &corpus)
-    : ecfg_(ecfg), mcfg_(mcfg), hwspec_(spec), corpus_(corpus),
-      stages_(mcfg.n_layers, ecfg.pp)
+               const oracle::SyntheticCorpus &corpus,
+               std::shared_ptr<const model::Weights> weights)
+    : ecfg_(ecfg), mcfg_(mcfg), hwspec_(spec),
+      stages_(mcfg.n_layers, ecfg.pp), corpus_(corpus)
 {
     specee_assert(!ecfg.quantized ||
                   ecfg.weight_backend == tensor::WeightBackend::Fp32,
@@ -47,14 +62,10 @@ Engine::Engine(const EngineConfig &ecfg, const model::ModelConfig &mcfg,
                       "tp/pp sharding cannot combine with host "
                       "weight offload");
     }
-    model::TargetModelOptions opts;
-    opts.quantized = ecfg.quantized;
-    opts.weight_backend = ecfg.weight_backend;
-    opts.paged_kv = ecfg.paged_kv;
-    opts.sparse_ffn = ecfg.sparse_ffn;
-    opts.ffn_active_frac = ecfg.ffn_active_frac;
-    opts.noise_seed = mcfg.weight_seed ^ 0xa0153;
-    tm_ = std::make_unique<model::TargetModel>(mcfg, opts);
+    const model::TargetModelOptions opts = modelOptions(ecfg, mcfg);
+    tm_ = weights ? std::make_unique<model::TargetModel>(
+                        mcfg, opts, std::move(weights))
+                  : std::make_unique<model::TargetModel>(mcfg, opts);
 
     // Legacy AWQ mode compresses only the projection charges (dense
     // head, fp16-priced draft), scaled engine-side; the whole-model

@@ -81,9 +81,20 @@ struct RunResult
 class Engine
 {
   public:
+    /**
+     * @param weights  weights for the target model, built for `mcfg`
+     *                 with the backends modelOptions(ecfg, mcfg)
+     *                 selects (Pipeline::makeEngine shares one copy
+     *                 across its engines); null builds private ones
+     */
     Engine(const EngineConfig &ecfg, const model::ModelConfig &mcfg,
            const hw::HardwareSpec &spec,
-           const oracle::SyntheticCorpus &corpus);
+           const oracle::SyntheticCorpus &corpus,
+           std::shared_ptr<const model::Weights> weights = nullptr);
+
+    /** Target-model options an engine of `ecfg` runs on `mcfg` with. */
+    static model::TargetModelOptions
+    modelOptions(const EngineConfig &ecfg, const model::ModelConfig &mcfg);
 
     /** Attach the trained SpecEE predictor bank (required for EE). */
     void setPredictors(const core::ExitPredictor *preds);
@@ -129,6 +140,9 @@ class Engine
     const EngineConfig &config() const { return ecfg_; }
     const model::ModelConfig &modelConfig() const { return mcfg_; }
     const hw::HardwareSpec &platform() const { return hwspec_; }
+
+    /** Weights the target model reads (shared when built by a Pipeline). */
+    const model::Weights &weights() const { return tm_->weights(); }
 
     /** Fraction of weight bytes resident on the device (PC offload). */
     double deviceWeightFrac() const { return devWeightFrac_; }

@@ -25,7 +25,9 @@ Pipeline::Pipeline(const PipelineOptions &opts)
 
     model::TargetModelOptions tm_opts;
     tm_opts.noise_seed = mcfg_.weight_seed ^ 0xa0153;
-    model::TargetModel tm(mcfg_, tm_opts);
+    model::TargetModel tm(mcfg_, tm_opts,
+                          sharedWeights(tensor::WeightBackend::Fp32,
+                                        tensor::WeightBackend::Fp32));
     model::DraftModel dlm(mcfg_, *corpus_, profile.draft_hit_rate);
     profile_ = core::PredictorTrainer::collect(train_w, tm, dlm,
                                                opts.seed ^ 0xc011);
@@ -72,12 +74,26 @@ std::unique_ptr<Engine>
 Pipeline::makeEngine(const EngineConfig &ecfg,
                      const hw::HardwareSpec &spec) const
 {
-    auto e = std::make_unique<Engine>(ecfg, mcfg_, spec, *corpus_);
+    const auto [proj, head] =
+        model::weightBackends(Engine::modelOptions(ecfg, mcfg_));
+    auto e = std::make_unique<Engine>(ecfg, mcfg_, spec, *corpus_,
+                                      sharedWeights(proj, head));
     e->setPredictors(preds_.get());
     e->setAdaInferBank(&ada_);
     e->setRaeeIndex(raee_.get());
     e->setOfflineHotLayers(hot_);
     return e;
+}
+
+std::shared_ptr<const model::Weights>
+Pipeline::sharedWeights(tensor::WeightBackend proj,
+                        tensor::WeightBackend head) const
+{
+    std::lock_guard<std::mutex> lock(weightsMu_);
+    auto &w = weights_[{proj, head}];
+    if (!w)
+        w = std::make_shared<const model::Weights>(mcfg_, proj, head);
+    return w;
 }
 
 } // namespace specee::engines

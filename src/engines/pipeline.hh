@@ -13,13 +13,22 @@
  *       engines::EngineConfig::huggingFace().withSpecEE(),
  *       hw::HardwareSpec::a100());
  *   auto result = engine->run(pipe.makeWorkload("MT-Bench", {}));
+ *
+ * The Pipeline owns one immutable copy of the model weights per
+ * (projection, head) backend pair, built on first use; every engine
+ * it makes with that pair (and its own profiling model, fp32/fp32)
+ * reads the same copy, so a fleet of N engines pays for the weights
+ * once. The copies live exactly as long as the Pipeline.
  */
 
 #ifndef SPECEE_ENGINES_PIPELINE_HH
 #define SPECEE_ENGINES_PIPELINE_HH
 
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/predictor.hh"
@@ -83,9 +92,20 @@ class Pipeline
                                     const workload::GenOptions &gen,
                                     bool quantized_cal = false) const;
 
-    /** Construct an engine with the trained artifacts attached. */
+    /**
+     * Construct an engine with the trained artifacts attached, over
+     * the Pipeline's shared weights for its backend pair.
+     */
     std::unique_ptr<Engine> makeEngine(const EngineConfig &ecfg,
                                        const hw::HardwareSpec &spec) const;
+
+    /**
+     * The shared weights for a (projection, head) backend pair,
+     * built on first request. Thread-safe.
+     */
+    std::shared_ptr<const model::Weights>
+    sharedWeights(tensor::WeightBackend proj,
+                  tensor::WeightBackend head) const;
 
   private:
     PipelineOptions opts_;
@@ -98,6 +118,12 @@ class Pipeline
     core::TrainReport report_;
     core::TrainReport adaReport_;
     std::vector<int> hot_;
+
+    using BackendPair =
+        std::pair<tensor::WeightBackend, tensor::WeightBackend>;
+    mutable std::mutex weightsMu_; ///< guards weights_
+    mutable std::map<BackendPair, std::shared_ptr<const model::Weights>>
+        weights_;
 };
 
 } // namespace specee::engines

@@ -10,16 +10,12 @@ KvCache::KvCache(int n_layers, int max_seq, int hidden)
     : nLayers_(n_layers),
       maxSeq_(max_seq),
       hidden_(hidden),
+      k_(static_cast<size_t>(n_layers) * static_cast<size_t>(max_seq),
+         static_cast<size_t>(hidden)),
+      v_(static_cast<size_t>(n_layers) * static_cast<size_t>(max_seq),
+         static_cast<size_t>(hidden)),
       len_(static_cast<size_t>(n_layers), 0)
 {
-    k_.reserve(static_cast<size_t>(n_layers));
-    v_.reserve(static_cast<size_t>(n_layers));
-    for (int l = 0; l < n_layers; ++l) {
-        k_.emplace_back(static_cast<size_t>(max_seq),
-                        static_cast<size_t>(hidden));
-        v_.emplace_back(static_cast<size_t>(max_seq),
-                        static_cast<size_t>(hidden));
-    }
 }
 
 int
@@ -31,12 +27,8 @@ KvCache::append(int layer, tensor::CSpan k, tensor::CSpan v)
     specee_assert(k.size() == static_cast<size_t>(hidden_) &&
                   v.size() == static_cast<size_t>(hidden_),
                   "kv dim mismatch");
-    std::copy(k.begin(), k.end(),
-              k_[static_cast<size_t>(layer)].row(static_cast<size_t>(len))
-                  .begin());
-    std::copy(v.begin(), v.end(),
-              v_[static_cast<size_t>(layer)].row(static_cast<size_t>(len))
-                  .begin());
+    std::copy(k.begin(), k.end(), k_.row(rowOf(layer, len)).begin());
+    std::copy(v.begin(), v.end(), v_.row(rowOf(layer, len)).begin());
     return len++;
 }
 
@@ -44,14 +36,14 @@ tensor::CSpan
 KvCache::key(int layer, int pos) const
 {
     specee_assert(pos < len_[static_cast<size_t>(layer)], "kv read past end");
-    return k_[static_cast<size_t>(layer)].row(static_cast<size_t>(pos));
+    return k_.row(rowOf(layer, pos));
 }
 
 tensor::CSpan
 KvCache::value(int layer, int pos) const
 {
     specee_assert(pos < len_[static_cast<size_t>(layer)], "kv read past end");
-    return v_[static_cast<size_t>(layer)].row(static_cast<size_t>(pos));
+    return v_.row(rowOf(layer, pos));
 }
 
 int

@@ -2,8 +2,11 @@
  * @file
  * Contiguous per-layer KV cache with rollback.
  *
- * Stores keys and values for every layer in preallocated contiguous
- * matrices (the HuggingFace-style layout). truncate() supports
+ * Stores keys and values for every layer in one preallocated
+ * contiguous K arena and one V arena (the HuggingFace-style layout),
+ * layer l owning rows [l * max_seq, (l + 1) * max_seq). Pages are
+ * committed on first write, so a cache sized for the full context
+ * costs only the positions actually cached. truncate() supports
  * speculative-decoding rollback of rejected draft tokens.
  */
 
@@ -12,12 +15,12 @@
 
 #include <vector>
 
+#include "model/kv_arena.hh"
 #include "model/kv_store.hh"
-#include "tensor/matrix.hh"
 
 namespace specee::model {
 
-/** Contiguous KV cache: one (max_seq x hidden) K and V pair per layer. */
+/** Contiguous KV cache: a (max_seq x hidden) K and V region per layer. */
 class KvCache : public KvStore
 {
   public:
@@ -43,11 +46,18 @@ class KvCache : public KvStore
     int maxSeq() const { return maxSeq_; }
 
   private:
+    /** Arena row of (layer, pos). */
+    size_t rowOf(int layer, int pos) const
+    {
+        return static_cast<size_t>(layer) * static_cast<size_t>(maxSeq_) +
+               static_cast<size_t>(pos);
+    }
+
     int nLayers_;
     int maxSeq_;
     int hidden_;
-    std::vector<tensor::Matrix> k_;
-    std::vector<tensor::Matrix> v_;
+    KvArena k_;
+    KvArena v_;
     std::vector<int> len_;
 };
 

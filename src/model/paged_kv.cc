@@ -6,21 +6,32 @@
 
 namespace specee::model {
 
-PagedKvCache::PagedKvCache(int n_layers, int n_blocks, int hidden)
-    : nLayers_(n_layers), nBlocks_(n_blocks), hidden_(hidden)
+namespace {
+
+/** Arena rows of a pool, after checking its shape. */
+size_t
+poolRows(int n_layers, int n_blocks, int hidden)
 {
     specee_assert(n_layers > 0 && n_blocks > 0 && hidden > 0,
                   "bad paged KV pool shape");
-    kPool_.reserve(static_cast<size_t>(n_blocks));
-    vPool_.reserve(static_cast<size_t>(n_blocks));
+    return static_cast<size_t>(n_blocks) * kKvBlockSize;
+}
+
+} // namespace
+
+PagedKvCache::PagedKvCache(int n_layers, int n_blocks, int hidden)
+    : nLayers_(n_layers),
+      nBlocks_(n_blocks),
+      hidden_(hidden),
+      kPool_(poolRows(n_layers, n_blocks, hidden),
+             static_cast<size_t>(hidden)),
+      vPool_(poolRows(n_layers, n_blocks, hidden),
+             static_cast<size_t>(hidden))
+{
     refs_.assign(static_cast<size_t>(n_blocks), 0);
-    for (int b = 0; b < n_blocks; ++b) {
-        kPool_.emplace_back(static_cast<size_t>(kKvBlockSize),
-                            static_cast<size_t>(hidden));
-        vPool_.emplace_back(static_cast<size_t>(kKvBlockSize),
-                            static_cast<size_t>(hidden));
+    freeList_.reserve(static_cast<size_t>(n_blocks));
+    for (int b = 0; b < n_blocks; ++b)
         freeList_.push_back(n_blocks - 1 - b);
-    }
 }
 
 int
@@ -213,30 +224,23 @@ PagedKvCache::append(int seq, int layer, tensor::CSpan k, tensor::CSpan v)
         // shared prefix content both holders agree on.
         const int fork = allocBlock();
         for (int r = 0; r < off; ++r) {
-            const auto row = static_cast<size_t>(r);
-            const auto src_k =
-                kPool_[static_cast<size_t>(block)].row(row);
-            const auto src_v =
-                vPool_[static_cast<size_t>(block)].row(row);
+            const auto src_k = kPool_.row(rowOf(block, r));
+            const auto src_v = vPool_.row(rowOf(block, r));
             std::copy(src_k.begin(), src_k.end(),
-                      kPool_[static_cast<size_t>(fork)].row(row).begin());
+                      kPool_.row(rowOf(fork, r)).begin());
             std::copy(src_v.begin(), src_v.end(),
-                      vPool_[static_cast<size_t>(fork)].row(row).begin());
+                      vPool_.row(rowOf(fork, r)).begin());
         }
         releaseBlock(block);
         st.blockTable[blk] = fork;
         block = fork;
     }
-    std::copy(k.begin(), k.end(),
-              kPool_[static_cast<size_t>(block)]
-                  .row(static_cast<size_t>(off)).begin());
-    std::copy(v.begin(), v.end(),
-              vPool_[static_cast<size_t>(block)]
-                  .row(static_cast<size_t>(off)).begin());
+    std::copy(k.begin(), k.end(), kPool_.row(rowOf(block, off)).begin());
+    std::copy(v.begin(), v.end(), vPool_.row(rowOf(block, off)).begin());
     return pos;
 }
 
-std::pair<int, int>
+size_t
 PagedKvCache::locate(int seq, int layer, int pos) const
 {
     specee_assert(!seqState(seq).swapped,
@@ -244,22 +248,20 @@ PagedKvCache::locate(int seq, int layer, int pos) const
     const LayerState &st =
         seqState(seq).layers[static_cast<size_t>(layer)];
     specee_assert(pos >= 0 && pos < st.len, "paged kv read past end");
-    return {st.blockTable[static_cast<size_t>(pos / kKvBlockSize)],
-            pos % kKvBlockSize};
+    return rowOf(st.blockTable[static_cast<size_t>(pos / kKvBlockSize)],
+                 pos % kKvBlockSize);
 }
 
 tensor::CSpan
 PagedKvCache::key(int seq, int layer, int pos) const
 {
-    auto [block, off] = locate(seq, layer, pos);
-    return kPool_[static_cast<size_t>(block)].row(static_cast<size_t>(off));
+    return kPool_.row(locate(seq, layer, pos));
 }
 
 tensor::CSpan
 PagedKvCache::value(int seq, int layer, int pos) const
 {
-    auto [block, off] = locate(seq, layer, pos);
-    return vPool_[static_cast<size_t>(block)].row(static_cast<size_t>(off));
+    return vPool_.row(locate(seq, layer, pos));
 }
 
 int
@@ -282,11 +284,11 @@ PagedKvCache::swapOut(int seq)
         st.hostV.resize(static_cast<size_t>(st.len),
                         static_cast<size_t>(hidden_));
         for (int pos = 0; pos < st.len; ++pos) {
-            const int block =
-                st.blockTable[static_cast<size_t>(pos / kKvBlockSize)];
-            const auto off = static_cast<size_t>(pos % kKvBlockSize);
-            const auto k = kPool_[static_cast<size_t>(block)].row(off);
-            const auto v = vPool_[static_cast<size_t>(block)].row(off);
+            const size_t row = rowOf(
+                st.blockTable[static_cast<size_t>(pos / kKvBlockSize)],
+                pos % kKvBlockSize);
+            const auto k = kPool_.row(row);
+            const auto v = vPool_.row(row);
             std::copy(k.begin(), k.end(),
                       st.hostK.row(static_cast<size_t>(pos)).begin());
             std::copy(v.begin(), v.end(),
@@ -317,15 +319,13 @@ PagedKvCache::swapIn(int seq)
         for (int pos = 0; pos < st.len; ++pos) {
             if (pos % kKvBlockSize == 0)
                 st.blockTable.push_back(allocBlock());
-            const int block =
-                st.blockTable[static_cast<size_t>(pos / kKvBlockSize)];
-            const auto off = static_cast<size_t>(pos % kKvBlockSize);
+            const size_t row = rowOf(
+                st.blockTable[static_cast<size_t>(pos / kKvBlockSize)],
+                pos % kKvBlockSize);
             const auto k = st.hostK.row(static_cast<size_t>(pos));
             const auto v = st.hostV.row(static_cast<size_t>(pos));
-            std::copy(k.begin(), k.end(),
-                      kPool_[static_cast<size_t>(block)].row(off).begin());
-            std::copy(v.begin(), v.end(),
-                      vPool_[static_cast<size_t>(block)].row(off).begin());
+            std::copy(k.begin(), k.end(), kPool_.row(row).begin());
+            std::copy(v.begin(), v.end(), vPool_.row(row).begin());
         }
         hostBlocks_ -= static_cast<int>(st.blockTable.size());
         st.hostK = tensor::Matrix{};

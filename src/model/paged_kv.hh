@@ -20,6 +20,13 @@
  * free list only when its last reference is released, so the
  * allocator can never hand out a block that is still referenced —
  * double-release and referenced-handout are fatal, not silent reuse.
+ *
+ * The physical pool is one K and one V KvArena of n_blocks x
+ * kKvBlockSize rows; block b owns rows [b * kKvBlockSize, (b + 1) *
+ * kKvBlockSize). The pool reserves every block virtually and commits
+ * a page only on its first write, and the LIFO free list hands out
+ * low block ids first, so a pool sized for the worst case costs the
+ * blocks a run actually touches.
  */
 
 #ifndef SPECEE_MODEL_PAGED_KV_HH
@@ -29,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "model/kv_arena.hh"
 #include "model/kv_store.hh"
 #include "tensor/matrix.hh"
 
@@ -208,8 +216,16 @@ class PagedKvCache
     const SeqState &seqState(int seq) const;
     SeqState &seqState(int seq);
 
-    /** Physical location of (seq, layer, pos). */
-    std::pair<int, int> locate(int seq, int layer, int pos) const;
+    /** Arena row of (seq, layer, pos). */
+    size_t locate(int seq, int layer, int pos) const;
+
+    /** Arena row `off` of physical block `block`. */
+    static size_t
+    rowOf(int block, int off)
+    {
+        return static_cast<size_t>(block) * kKvBlockSize +
+               static_cast<size_t>(off);
+    }
 
     int allocBlock();
     void releaseBlock(int b);
@@ -217,9 +233,9 @@ class PagedKvCache
     int nLayers_;
     int nBlocks_;
     int hidden_;
-    // Physical pool: per block, kKvBlockSize rows for K and V.
-    std::vector<tensor::Matrix> kPool_;
-    std::vector<tensor::Matrix> vPool_;
+    // Physical pool: kKvBlockSize rows per block for K and V.
+    KvArena kPool_;
+    KvArena vPool_;
     std::vector<int> freeList_;
     std::vector<int> refs_; ///< per-block reference counts
     std::vector<SeqState> seqs_;

@@ -18,38 +18,54 @@ unitize(tensor::Span v)
         tensor::scaleInplace(v, 1.0f / n);
 }
 
-/** Projection backend: legacy AWQ flag maps to Q4-projections-only. */
-tensor::WeightBackend
-projBackendFor(const TargetModelOptions &opts)
+} // namespace
+
+std::pair<tensor::WeightBackend, tensor::WeightBackend>
+weightBackends(const TargetModelOptions &opts)
 {
     if (opts.quantized) {
         specee_assert(opts.weight_backend == tensor::WeightBackend::Fp32,
                       "legacy `quantized` and `weight_backend` are "
                       "mutually exclusive");
-        return tensor::WeightBackend::Q4;
+        return {tensor::WeightBackend::Q4, tensor::WeightBackend::Fp32};
     }
-    return opts.weight_backend;
+    return {opts.weight_backend, opts.weight_backend};
 }
-
-/** Head backend: the legacy AWQ mode keeps the tied head dense. */
-tensor::WeightBackend
-headBackendFor(const TargetModelOptions &opts)
-{
-    return opts.quantized ? tensor::WeightBackend::Fp32
-                          : opts.weight_backend;
-}
-
-} // namespace
 
 TargetModel::TargetModel(const ModelConfig &cfg,
                          const TargetModelOptions &opts)
+    : TargetModel(cfg, opts, [&] {
+          const auto [proj, head] = weightBackends(opts);
+          return std::make_shared<const Weights>(cfg, proj, head);
+      }())
+{
+}
+
+TargetModel::TargetModel(const ModelConfig &cfg,
+                         const TargetModelOptions &opts,
+                         std::shared_ptr<const Weights> weights)
     : cfg_(cfg),
       opts_(opts),
-      weights_(cfg, projBackendFor(opts), headBackendFor(opts)),
-      lmHead_(weights_.embedding(), weights_.rmsFinal()),
+      weights_(std::move(weights)),
+      lmHead_(weights_->embedding(), weights_->rmsFinal()),
       layerBlock_(cfg),
       erow_(static_cast<size_t>(cfg.sim.hidden))
 {
+    const auto [proj, head] = weightBackends(opts);
+    specee_assert(weights_->projBackend() == proj &&
+                      weights_->headBackend() == head,
+                  "shared weights are %s/%s but the model options "
+                  "select %s/%s",
+                  tensor::weightBackendName(weights_->projBackend()),
+                  tensor::weightBackendName(weights_->headBackend()),
+                  tensor::weightBackendName(proj),
+                  tensor::weightBackendName(head));
+    specee_assert(weights_->nLayers() == cfg.n_layers &&
+                      weights_->embedding().rows() ==
+                          static_cast<size_t>(cfg.sim.vocab) &&
+                      weights_->embedding().cols() ==
+                          static_cast<size_t>(cfg.sim.hidden),
+                  "shared weights were built for another model shape");
     own_ = makeSequence();
     seq_ = &own_;
 }
@@ -111,9 +127,9 @@ TargetModel::prefill(const std::vector<int> &tokens)
     for (int tok : tokens) {
         specee_assert(tok >= 0 && tok < cfg_.sim.vocab,
                       "prompt token %d out of range", tok);
-        weights_.embedding().copyRow(static_cast<size_t>(tok), s.hidden);
+        weights_->embedding().copyRow(static_cast<size_t>(tok), s.hidden);
         for (int l = 0; l < cfg_.n_layers; ++l)
-            layerBlock_.fillKv(weights_.layer(l), l, s.hidden, s.pos,
+            layerBlock_.fillKv(weights_->layer(l), l, s.hidden, s.pos,
                                *s.kv);
         ++s.pos;
     }
@@ -135,11 +151,11 @@ TargetModel::beginToken(int input_token, const TokenScript &script)
     s.inToken = true;
 
     // Residual stream starts at the input embedding.
-    weights_.embedding().copyRow(static_cast<size_t>(input_token),
+    weights_->embedding().copyRow(static_cast<size_t>(input_token),
                                  s.hidden);
 
     // Per-token noisy target direction: dir = unit(E[target] + nu*z).
-    weights_.embedding().copyRow(static_cast<size_t>(script.target),
+    weights_->embedding().copyRow(static_cast<size_t>(script.target),
                                  erow_);
     const float nu = opts_.steer.target_noise;
     const float per_dim =
@@ -151,7 +167,7 @@ TargetModel::beginToken(int input_token, const TokenScript &script)
     }
     unitize(s.dirTarget);
 
-    weights_.embedding().copyRow(static_cast<size_t>(script.distractor),
+    weights_->embedding().copyRow(static_cast<size_t>(script.distractor),
                                  s.dirDistractor);
 
     const float j = opts_.steer.distractor_jitter;
@@ -193,7 +209,7 @@ TargetModel::runLayer()
     SequenceState &s = *seq_;
     specee_assert(s.inToken, "runLayer outside a decode step");
     specee_assert(s.layer < cfg_.n_layers, "runLayer past last layer");
-    layerBlock_.forward(weights_.layer(s.layer), s.layer, s.hidden,
+    layerBlock_.forward(weights_->layer(s.layer), s.layer, s.hidden,
                         s.pos, *s.kv, opts_.sparse_ffn,
                         opts_.ffn_active_frac);
     steer(s.layer);
@@ -220,7 +236,7 @@ TargetModel::finishEarly()
     specee_assert(s.inToken, "finishEarly outside a decode step");
     const int filled = cfg_.n_layers - s.layer;
     for (int l = s.layer; l < cfg_.n_layers; ++l)
-        layerBlock_.fillKv(weights_.layer(l), l, s.hidden, s.pos, *s.kv);
+        layerBlock_.fillKv(weights_->layer(l), l, s.hidden, s.pos, *s.kv);
     s.layer = cfg_.n_layers;
     s.inToken = false;
     ++s.pos;

@@ -30,13 +30,16 @@
  * SequenceState. The model owns one default state — single-sequence
  * callers never see the indirection — and can temporarily bind an
  * external state, which is how the serving layer interleaves many
- * DecodeSessions on one model without duplicating weights.
+ * DecodeSessions on one model without duplicating weights. The
+ * weights themselves are immutable and held shared, so every model
+ * of one engines::Pipeline reads a single copy.
  */
 
 #ifndef SPECEE_MODEL_TARGET_MODEL_HH
 #define SPECEE_MODEL_TARGET_MODEL_HH
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "model/config.hh"
@@ -96,6 +99,14 @@ struct TargetModelOptions
 };
 
 /**
+ * (projection, head) weight backends `opts` selects: the whole-model
+ * backend for both, or the legacy AWQ pair (Q4 projections, dense
+ * tied head).
+ */
+std::pair<tensor::WeightBackend, tensor::WeightBackend>
+weightBackends(const TargetModelOptions &opts);
+
+/**
  * Everything one decoded sequence mutates: its KV store, decode
  * position, current-token steering state and the per-sequence noise
  * rng. A DecodeSession owns one of these; the model operates on
@@ -122,10 +133,18 @@ struct SequenceState
 class TargetModel
 {
   public:
+    /** Model over privately built weights. */
     TargetModel(const ModelConfig &cfg, const TargetModelOptions &opts);
 
+    /**
+     * Model over shared `weights`, which must have been built for
+     * `cfg` with the backends `opts` selects (fatal otherwise).
+     */
+    TargetModel(const ModelConfig &cfg, const TargetModelOptions &opts,
+                std::shared_ptr<const Weights> weights);
+
     const ModelConfig &config() const { return cfg_; }
-    const Weights &weights() const { return weights_; }
+    const Weights &weights() const { return *weights_; }
     const LmHead &lmHead() const { return lmHead_; }
     int nLayers() const { return cfg_.n_layers; }
 
@@ -220,7 +239,7 @@ class TargetModel
 
     ModelConfig cfg_;
     TargetModelOptions opts_;
-    Weights weights_;
+    std::shared_ptr<const Weights> weights_;
     LmHead lmHead_;
     DecoderLayer layerBlock_;
     SequenceState own_;        ///< default state (single-sequence use)

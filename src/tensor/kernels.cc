@@ -14,9 +14,7 @@ gemv(const Matrix &w, CSpan x, Span y)
     specee_assert(x.size() == w.cols() && y.size() == w.rows(),
                   "gemv shape mismatch: W %zux%zu, x %zu, y %zu",
                   w.rows(), w.cols(), x.size(), y.size());
-    const size_t n = w.cols();
-    for (size_t r = 0; r < w.rows(); ++r)
-        y[r] = simd::dotF32(w.data() + r * n, x.data(), n);
+    simd::gemvF32(w.data(), w.rows(), w.cols(), x.data(), y.data());
 }
 
 void

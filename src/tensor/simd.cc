@@ -31,6 +31,14 @@ dotF32Scalar(const float *a, const float *b, size_t n)
     return acc;
 }
 
+void
+gemvF32Scalar(const float *w, size_t rows, size_t n, const float *x,
+              float *y)
+{
+    for (size_t r = 0; r < rows; ++r)
+        y[r] = dotF32Scalar(w + r * n, x, n);
+}
+
 float
 dotQ8Scalar(const int8_t *q, const float *x, size_t n)
 {
@@ -73,6 +81,19 @@ hsum256(__m256 v)
     return _mm_cvtss_f32(s);
 }
 
+/**
+ * Scalar tail acc + sum_{j in [i, n)} a[j] * b[j], in order. Shared by
+ * dotF32Avx2 and gemvF32Avx2 (and inlined into both), so the compiler
+ * sees the same loop in each and rounds the tails identically.
+ */
+__attribute__((target("avx2,fma"), always_inline)) inline float
+dotTailF32(const float *a, const float *b, size_t i, size_t n, float acc)
+{
+    for (; i < n; ++i)
+        acc += a[i] * b[i];
+    return acc;
+}
+
 __attribute__((target("avx2,fma"))) float
 dotF32Avx2(const float *a, const float *b, size_t n)
 {
@@ -89,10 +110,58 @@ dotF32Avx2(const float *a, const float *b, size_t n)
         acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i),
                                _mm256_loadu_ps(b + i), acc0);
     }
-    float acc = hsum256(_mm256_add_ps(acc0, acc1));
-    for (; i < n; ++i)
-        acc += a[i] * b[i];
-    return acc;
+    return dotTailF32(a, b, i, n, hsum256(_mm256_add_ps(acc0, acc1)));
+}
+
+/**
+ * Four rows per pass: x is loaded once per step and feeds eight
+ * accumulators (two chains per row). Each row's chains, 8-wide step,
+ * horizontal sum and scalar tail follow dotF32Avx2 operation for
+ * operation, so the results are bit-identical to it.
+ */
+__attribute__((target("avx2,fma"))) void
+gemvF32Avx2(const float *w, size_t rows, size_t n, const float *x,
+            float *y)
+{
+    size_t r = 0;
+    for (; r + 4 <= rows; r += 4) {
+        const float *w0 = w + r * n;
+        const float *w1 = w0 + n;
+        const float *w2 = w1 + n;
+        const float *w3 = w2 + n;
+        __m256 a00 = _mm256_setzero_ps(), a01 = _mm256_setzero_ps();
+        __m256 a10 = _mm256_setzero_ps(), a11 = _mm256_setzero_ps();
+        __m256 a20 = _mm256_setzero_ps(), a21 = _mm256_setzero_ps();
+        __m256 a30 = _mm256_setzero_ps(), a31 = _mm256_setzero_ps();
+        size_t i = 0;
+        for (; i + 16 <= n; i += 16) {
+            const __m256 x0 = _mm256_loadu_ps(x + i);
+            const __m256 x1 = _mm256_loadu_ps(x + i + 8);
+            a00 = _mm256_fmadd_ps(_mm256_loadu_ps(w0 + i), x0, a00);
+            a01 = _mm256_fmadd_ps(_mm256_loadu_ps(w0 + i + 8), x1, a01);
+            a10 = _mm256_fmadd_ps(_mm256_loadu_ps(w1 + i), x0, a10);
+            a11 = _mm256_fmadd_ps(_mm256_loadu_ps(w1 + i + 8), x1, a11);
+            a20 = _mm256_fmadd_ps(_mm256_loadu_ps(w2 + i), x0, a20);
+            a21 = _mm256_fmadd_ps(_mm256_loadu_ps(w2 + i + 8), x1, a21);
+            a30 = _mm256_fmadd_ps(_mm256_loadu_ps(w3 + i), x0, a30);
+            a31 = _mm256_fmadd_ps(_mm256_loadu_ps(w3 + i + 8), x1, a31);
+        }
+        for (; i + 8 <= n; i += 8) {
+            const __m256 x0 = _mm256_loadu_ps(x + i);
+            a00 = _mm256_fmadd_ps(_mm256_loadu_ps(w0 + i), x0, a00);
+            a10 = _mm256_fmadd_ps(_mm256_loadu_ps(w1 + i), x0, a10);
+            a20 = _mm256_fmadd_ps(_mm256_loadu_ps(w2 + i), x0, a20);
+            a30 = _mm256_fmadd_ps(_mm256_loadu_ps(w3 + i), x0, a30);
+        }
+        const float *rows4[4] = {w0, w1, w2, w3};
+        const __m256 sums[4] = {
+            _mm256_add_ps(a00, a01), _mm256_add_ps(a10, a11),
+            _mm256_add_ps(a20, a21), _mm256_add_ps(a30, a31)};
+        for (size_t k = 0; k < 4; ++k)
+            y[r + k] = dotTailF32(rows4[k], x, i, n, hsum256(sums[k]));
+    }
+    for (; r < rows; ++r)
+        y[r] = dotF32Avx2(w + r * n, x, n);
 }
 
 __attribute__((target("avx2,fma"))) float
@@ -224,6 +293,18 @@ dotF32(const float *a, const float *b, size_t n)
         return dotF32Avx2(a, b, n);
 #endif
     return dotF32Scalar(a, b, n);
+}
+
+void
+gemvF32(const float *w, size_t rows, size_t n, const float *x, float *y)
+{
+#if SPECEE_SIMD_X86
+    if (activeLevel() == Level::Avx2) {
+        gemvF32Avx2(w, rows, n, x, y);
+        return;
+    }
+#endif
+    gemvF32Scalar(w, rows, n, x, y);
 }
 
 float

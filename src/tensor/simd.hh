@@ -60,6 +60,15 @@ void setLevel(Level lvl);
 /** sum_i a[i] * b[i] (fp32 gemv / attention-score inner loop). */
 float dotF32(const float *a, const float *b, size_t n);
 
+/**
+ * Row-major fp32 gemv: y[r] = dotF32(w + r * n, x, n) for r < rows,
+ * dispatched once per matrix. The AVX2 path runs four rows per pass
+ * over shared x loads; each row keeps dotF32's exact summation order,
+ * so every y[r] is bit-identical to the per-row dot.
+ */
+void gemvF32(const float *w, size_t rows, size_t n, const float *x,
+             float *y);
+
 /** sum_i q[i] * x[i] with int8 weights (Q8 row dot, pre-scale). */
 float dotQ8(const int8_t *q, const float *x, size_t n);
 

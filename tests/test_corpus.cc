@@ -56,8 +56,9 @@ TEST(Corpus, TopNextReallyIsTheTop)
         bool in_top = false;
         for (const auto &[tok, p] : top)
             in_top |= tok == t;
-        if (!in_top)
+        if (!in_top) {
             EXPECT_LE(c.prob(10, t), p4 + 1e-9) << "token " << t;
+        }
     }
 }
 

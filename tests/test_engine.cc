@@ -257,3 +257,67 @@ TEST(Engine, DeterministicAcrossRuns)
         EXPECT_EQ(a.emissions[i].tokens, b.emissions[i].tokens);
     EXPECT_DOUBLE_EQ(a.stats.modeled_time_s, b.stats.modeled_time_s);
 }
+
+TEST(Engine, PipelineEnginesShareOneWeightCopyPerBackendPair)
+{
+    const auto &pipe = testutil::tinyPipeline();
+    const auto spec = hw::HardwareSpec::a100();
+    auto dense = pipe.makeEngine(EngineConfig::huggingFace(), spec);
+    auto ee = pipe.makeEngine(EngineConfig::huggingFace().withSpecEE(),
+                              spec);
+    const auto q8_cfg = EngineConfig::huggingFace().withWeightBackend(
+        tensor::WeightBackend::Q8);
+    auto q8 = pipe.makeEngine(q8_cfg, spec);
+    auto q8b = pipe.makeEngine(q8_cfg.withSpecEE(), spec);
+    EXPECT_EQ(&dense->weights(), &ee->weights());
+    // The fp32 pair is the one the pipeline's profiling model read.
+    EXPECT_EQ(&dense->weights(),
+              pipe.sharedWeights(tensor::WeightBackend::Fp32,
+                                 tensor::WeightBackend::Fp32)
+                  .get());
+    EXPECT_NE(&dense->weights(), &q8->weights());
+    EXPECT_EQ(&q8->weights(), &q8b->weights());
+    EXPECT_EQ(q8->weights().projBackend(), tensor::WeightBackend::Q8);
+}
+
+TEST(Engine, SharedWeightsRunBitIdenticalToPrivateWeights)
+{
+    const auto &pipe = testutil::tinyPipeline();
+    const auto spec = hw::HardwareSpec::a100();
+    for (const auto &cfg : {EngineConfig::huggingFace().withSpecEE(),
+                            EngineConfig::awq().withSpecEE()}) {
+        auto shared = pipe.makeEngine(cfg, spec);
+        engines::Engine priv(cfg, pipe.modelConfig(), spec, pipe.corpus());
+        priv.setPredictors(&pipe.predictors());
+        priv.setAdaInferBank(&pipe.adaInferBank());
+        priv.setRaeeIndex(&pipe.raeeIndex());
+        priv.setOfflineHotLayers(pipe.offlineHotLayers());
+        ASSERT_NE(&shared->weights(), &priv.weights());
+        const auto &w = mtWorkload();
+        for (size_t i = 0; i < w.instances.size(); ++i) {
+            const auto a = shared->runOne(w, i, 5);
+            const auto b = priv.runOne(w, i, 5);
+            ASSERT_EQ(a.emissions.size(), b.emissions.size());
+            for (size_t e = 0; e < a.emissions.size(); ++e) {
+                EXPECT_EQ(a.emissions[e].tokens, b.emissions[e].tokens);
+                EXPECT_EQ(a.emissions[e].exit_layers,
+                          b.emissions[e].exit_layers);
+            }
+            EXPECT_EQ(a.stats.tokens, b.stats.tokens);
+            EXPECT_EQ(a.stats.modeled_time_s, b.stats.modeled_time_s);
+            EXPECT_EQ(a.stats.avg_forward_layers,
+                      b.stats.avg_forward_layers);
+            EXPECT_EQ(a.stats.avg_active_predictors,
+                      b.stats.avg_active_predictors);
+            EXPECT_EQ(a.stats.predictor_invocations,
+                      b.stats.predictor_invocations);
+            EXPECT_EQ(a.stats.exits, b.stats.exits);
+            EXPECT_EQ(a.stats.verify_calls, b.stats.verify_calls);
+            EXPECT_EQ(a.stats.verify_rejects, b.stats.verify_rejects);
+            EXPECT_EQ(a.stats.exit_histogram, b.stats.exit_histogram);
+            EXPECT_EQ(a.stats.energy_per_token_j,
+                      b.stats.energy_per_token_j);
+            EXPECT_EQ(a.stats.peak_mem_gb, b.stats.peak_mem_gb);
+        }
+    }
+}

@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "model/config.hh"
+#include "model/kv_arena.hh"
 #include "model/kv_cache.hh"
 #include "model/paged_kv.hh"
 #include "util/rng.hh"
@@ -27,7 +32,165 @@ vec(int hidden, float base)
     return v;
 }
 
+tensor::Vec
+randomVec(int hidden, Rng &rng)
+{
+    tensor::Vec v(static_cast<size_t>(hidden));
+    for (auto &x : v)
+        x = static_cast<float>(rng.normal());
+    return v;
+}
+
+/** Every K and V row of (seq, layer) in the pool, in order. */
+std::vector<tensor::Vec>
+rowsOf(const PagedKvCache &pool, int seq, int layer)
+{
+    std::vector<tensor::Vec> out;
+    for (int p = 0; p < pool.length(seq, layer); ++p) {
+        const auto k = pool.key(seq, layer, p);
+        const auto v = pool.value(seq, layer, p);
+        out.emplace_back(k.begin(), k.end());
+        out.emplace_back(v.begin(), v.end());
+    }
+    return out;
+}
+
+/** Resident set size of this process in KiB (0 if unavailable). */
+long
+vmRssKb()
+{
+    std::ifstream in("/proc/self/status");
+    std::string key;
+    while (in >> key) {
+        if (key == "VmRSS:") {
+            long kb = 0;
+            in >> kb;
+            return kb;
+        }
+        in.ignore(1 << 10, '\n');
+    }
+    return 0;
+}
+
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SPECEE_TEST_SANITIZED 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SPECEE_TEST_SANITIZED 1
+#endif
+
+/** Sanitizer shadow memory and debug builds distort RSS. */
+constexpr bool kRssMeaningful =
+#if defined(NDEBUG) && !defined(SPECEE_TEST_SANITIZED)
+    true;
+#else
+    false;
+#endif
+
 } // namespace
+
+TEST(KvArena, RowsReadZeroBeforeTheirFirstWrite)
+{
+    KvArena a(64, 8);
+    for (size_t r = 0; r < a.rows(); ++r)
+        for (float x : a.row(r))
+            ASSERT_EQ(x, 0.0f);
+    a.row(5)[3] = 7.0f;
+    EXPECT_EQ(a.row(5)[3], 7.0f);
+    EXPECT_EQ(a.row(4)[7], 0.0f);
+    EXPECT_EQ(a.row(6)[0], 0.0f);
+}
+
+TEST(PagedKv, ForkSwapAndTruncateKeepExactRows)
+{
+    const int hidden = 8, rows = kKvBlockSize + 5;
+    PagedKvCache pool(2, 16, hidden);
+    Rng rng(23);
+    const int a = pool.createSequence();
+    for (int l = 0; l < 2; ++l)
+        for (int p = 0; p < rows; ++p)
+            pool.append(a, l, randomVec(hidden, rng),
+                        randomVec(hidden, rng));
+    const auto a0 = rowsOf(pool, a, 0);
+    const auto a1 = rowsOf(pool, a, 1);
+
+    // Copy-on-write fork: b adopts a's chain and appends into the
+    // shared tail block; both see the shared rows unchanged.
+    const auto chain = pool.retainRows(a, 0, 0, rows);
+    const int b = pool.createSequence();
+    pool.adoptPrefix(b, 0, chain, rows);
+    const auto k = randomVec(hidden, rng), v = randomVec(hidden, rng);
+    pool.append(b, 0, k, v);
+    auto b0 = rowsOf(pool, b, 0);
+    ASSERT_EQ(b0.size(), a0.size() + 2);
+    EXPECT_EQ(std::vector<tensor::Vec>(b0.begin(), b0.end() - 2), a0);
+    EXPECT_EQ(b0[b0.size() - 2], k);
+    EXPECT_EQ(b0.back(), v);
+    EXPECT_EQ(rowsOf(pool, a, 0), a0);
+
+    // Swap-out / swap-in round trip restores every row bit-exactly.
+    pool.swapOut(a);
+    pool.swapIn(a);
+    EXPECT_EQ(rowsOf(pool, a, 0), a0);
+    EXPECT_EQ(rowsOf(pool, a, 1), a1);
+    EXPECT_EQ(rowsOf(pool, b, 0), b0);
+
+    // Truncate keeps the surviving rows and re-appends cleanly.
+    pool.truncate(a, kKvBlockSize + 1);
+    const auto kept = a1.begin() + 2 * (kKvBlockSize + 1);
+    EXPECT_EQ(rowsOf(pool, a, 1),
+              std::vector<tensor::Vec>(a1.begin(), kept));
+    pool.append(a, 1, k, v);
+    EXPECT_EQ(pool.key(a, 1, kKvBlockSize + 1)[0], k[0]);
+    pool.releaseBlocks(chain);
+}
+
+TEST(KvCache, TruncateKeepsExactRows)
+{
+    const int hidden = 8;
+    KvCache kv(2, 32, hidden);
+    Rng rng(29);
+    std::vector<tensor::Vec> keys;
+    for (int p = 0; p < 20; ++p) {
+        keys.push_back(randomVec(hidden, rng));
+        kv.append(1, keys.back(), randomVec(hidden, rng));
+    }
+    kv.truncate(7);
+    const auto k = randomVec(hidden, rng);
+    kv.append(1, k, k);
+    for (int p = 0; p < 7; ++p) {
+        const auto got = kv.key(1, p);
+        EXPECT_EQ(tensor::Vec(got.begin(), got.end()),
+                  keys[static_cast<size_t>(p)]);
+    }
+    const auto got = kv.key(1, 7);
+    EXPECT_EQ(tensor::Vec(got.begin(), got.end()), k);
+}
+
+TEST(PagedKv, SevenBPoolCommitsOnlyTouchedPages)
+{
+    if (!kRssMeaningful)
+        GTEST_SKIP() << "RSS is not measured in debug or sanitizer builds";
+    // One serving worker's pool on llama2-7b-sim: 8 slots x 32 layers
+    // x 34 blocks. Reserving it must not commit its ~214 MB.
+    const auto cfg = model::ModelConfig::llama2_7b();
+    const int blocks = 8 * cfg.n_layers * 34;
+    const double bytes = 2.0 * blocks * kKvBlockSize * cfg.sim.hidden *
+                         sizeof(float);
+    const long before = vmRssKb();
+    ASSERT_GT(before, 0);
+    PagedKvCache pool(cfg.n_layers, blocks, cfg.sim.hidden);
+    const int s = pool.createSequence();
+    const tensor::Vec row(static_cast<size_t>(cfg.sim.hidden), 1.0f);
+    for (int l = 0; l < cfg.n_layers; ++l)
+        pool.append(s, l, row, row);
+    const double grown = (vmRssKb() - before) * 1024.0;
+    EXPECT_LT(grown, 0.1 * bytes)
+        << "pool of " << bytes / 1e6 << " MB committed " << grown / 1e6
+        << " MB";
+}
 
 TEST(KvCache, AppendAndReadBack)
 {

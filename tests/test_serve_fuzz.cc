@@ -458,8 +458,9 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
             EXPECT_EQ(o.slo.evaluated, !o.cancelled && spec_on);
             if (o.slo.evaluated)
                 ++expect_eval;
-            if (o.dropped && spec_on)
+            if (o.dropped && spec_on) {
                 EXPECT_FALSE(o.slo.attained());
+            }
         }
         EXPECT_EQ(fleet.slo_evaluated, expect_eval);
         EXPECT_LE(fleet.slo_attained, fleet.slo_evaluated);

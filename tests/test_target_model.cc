@@ -217,3 +217,16 @@ TEST(TargetModel, ResetClearsState)
     for (int l = 0; l < cfg.n_layers; ++l)
         EXPECT_EQ(tm.kv().length(l), 0);
 }
+
+TEST(TargetModelDeathTest, SharedWeightsMustMatchTheOptionsBackends)
+{
+    const auto cfg = model::ModelConfig::byName("tiny");
+    auto fp32 = std::make_shared<const model::Weights>(
+        cfg, tensor::WeightBackend::Fp32, tensor::WeightBackend::Fp32);
+    model::TargetModelOptions q8;
+    q8.weight_backend = tensor::WeightBackend::Q8;
+    EXPECT_DEATH({ model::TargetModel bad(cfg, q8, fp32); },
+                 "shared weights are");
+    model::TargetModel ok(cfg, {}, fp32);
+    EXPECT_EQ(&ok.weights(), fp32.get());
+}

@@ -8,8 +8,10 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "tensor/kernels.hh"
+#include "tensor/simd.hh"
 #include "util/rng.hh"
 
 using namespace specee;
@@ -66,6 +68,43 @@ TEST(Kernels, GemvMatchesManual)
     gemv(w, x, y);
     EXPECT_FLOAT_EQ(y[0], 14.0f);
     EXPECT_FLOAT_EQ(y[1], 12.0f);
+}
+
+TEST(Kernels, GemvIsBitIdenticalToPerRowDotAtEveryDispatchLevel)
+{
+    // The row-blocked gemv shares x loads across rows but reorders no
+    // addition, so each output equals (==, not a tolerance) the
+    // dispatched per-row dot. Ragged shapes cover rows % 4 != 0 and
+    // every tail path (16-wide, 8-wide, scalar).
+    const std::pair<size_t, size_t> shapes[] = {
+        {192, 192}, {516, 192}, {192, 516}, {4096, 192}, {5, 7},
+        {6, 12},    {7, 20},    {9, 516},   {1, 20},     {3, 7},
+        {6, 1},     {5, 3},     {7, 5},     {10, 30},    {11, 515}};
+    const simd::Level saved = simd::activeLevel();
+    Rng rng(17);
+    for (simd::Level lvl : {simd::Level::Scalar, simd::Level::Avx2}) {
+        simd::setLevel(lvl); // unsupported AVX2 falls back to scalar
+        for (const auto &[rows, n] : shapes) {
+            Matrix w(rows, n);
+            for (size_t i = 0; i < w.size(); ++i)
+                w.data()[i] = static_cast<float>(rng.normal());
+            Vec x(n);
+            for (auto &v : x)
+                v = static_cast<float>(rng.normal());
+            Vec y(rows), yk(rows);
+            simd::gemvF32(w.data(), rows, n, x.data(), y.data());
+            gemv(w, x, yk);
+            for (size_t r = 0; r < rows; ++r) {
+                const float ref =
+                    simd::dotF32(w.row(r).data(), x.data(), n);
+                EXPECT_EQ(y[r], ref)
+                    << simd::levelName(simd::activeLevel()) << " " << rows
+                    << "x" << n << " row " << r;
+                EXPECT_EQ(yk[r], ref);
+            }
+        }
+    }
+    simd::setLevel(saved);
 }
 
 TEST(Kernels, GemvTIsTransposeOfGemv)
