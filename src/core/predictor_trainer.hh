@@ -11,6 +11,11 @@
  *
  * Training is plain Adam on BCE per layer; accuracy is reported on a
  * held-out split, which is what Fig. 8 / Fig. 18 plot.
+ *
+ * Profiling instances and per-layer fits are independent, so both
+ * run across cores: every draw from a shared random stream is made
+ * first, in the sequential order, and results are merged in index
+ * order, so the output is bit-identical to a sequential run.
  */
 
 #ifndef SPECEE_CORE_PREDICTOR_TRAINER_HH
@@ -67,19 +72,27 @@ class PredictorTrainer
 {
   public:
     /**
-     * Profile `tm` over `workload` with `dlm` proposing speculative
-     * tokens; fills per-layer datasets for both predictor families.
+     * Profile the model `tm` describes over `w` with `dlm` proposing
+     * speculative tokens; fills per-layer datasets for both predictor
+     * families. `tm` only supplies the config, options and weights:
+     * the instances run in parallel, each on its own model over those
+     * weights, and `tm` itself is left untouched. The result does not
+     * depend on the number of workers.
      */
     static ProfileData collect(const workload::Workload &w,
-                               model::TargetModel &tm,
+                               const model::TargetModel &tm,
                                const model::DraftModel &dlm,
                                uint64_t seed);
 
-    /** Train the SpecEE MLP bank; returns held-out accuracies. */
+    /**
+     * Train the SpecEE MLP bank; returns held-out accuracies. Layers
+     * are split sequentially and fit in parallel; the result does not
+     * depend on the number of workers.
+     */
     static TrainReport train(ExitPredictor &bank, const ProfileData &data,
                              const TrainerOptions &opts);
 
-    /** Train an AdaInfer SVM bank on the same profiling data. */
+    /** Train an AdaInfer SVM bank on the same data, the same way. */
     static TrainReport trainAdaInfer(std::vector<nn::LinearSvm> &bank,
                                      const ProfileData &data,
                                      const TrainerOptions &opts);

@@ -23,6 +23,8 @@ Pipeline::Pipeline(const PipelineOptions &opts)
     const workload::Workload train_w =
         gen.generate(profile, mcfg_, gopts);
 
+    // The profiling model only names the config, options and weights:
+    // collect() runs every instance on its own model over them.
     model::TargetModelOptions tm_opts;
     tm_opts.noise_seed = mcfg_.weight_seed ^ 0xa0153;
     model::TargetModel tm(mcfg_, tm_opts,

@@ -19,6 +19,14 @@
  * it makes with that pair (and its own profiling model, fp32/fp32)
  * reads the same copy, so a fleet of N engines pays for the weights
  * once. The copies live exactly as long as the Pipeline.
+ *
+ * Construction runs its three costly stages — weight generation,
+ * profiling-data collection and the per-layer predictor fits — on
+ * every core (util/parallel.hh). Each stage first makes all of its
+ * draws from shared random streams, sequentially and in the order a
+ * one-core build would, then fans the arithmetic out and merges
+ * results in index order; every artifact is therefore bit-identical
+ * to a sequential build and independent of the worker count.
  */
 
 #ifndef SPECEE_ENGINES_PIPELINE_HH

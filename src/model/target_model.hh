@@ -144,7 +144,13 @@ class TargetModel
                 std::shared_ptr<const Weights> weights);
 
     const ModelConfig &config() const { return cfg_; }
+    const TargetModelOptions &options() const { return opts_; }
     const Weights &weights() const { return *weights_; }
+    /** The weights as held, for building sibling models over them. */
+    const std::shared_ptr<const Weights> &sharedWeights() const
+    {
+        return weights_;
+    }
     const LmHead &lmHead() const { return lmHead_; }
     int nLayers() const { return cfg_.n_layers; }
 

@@ -76,16 +76,40 @@ Rng::normal(double mean, double sd)
         haveSpare_ = false;
         return mean + sd * spare_;
     }
-    double u1 = 0.0;
-    do {
-        u1 = uniform();
-    } while (u1 <= 1e-300);
+    double u1 = uniformPositive();
     double u2 = uniform();
     double r = std::sqrt(-2.0 * std::log(u1));
     double theta = 2.0 * M_PI * u2;
     spare_ = r * std::sin(theta);
     haveSpare_ = true;
     return mean + sd * r * std::cos(theta);
+}
+
+void
+Rng::skipNormals(size_t n)
+{
+    if (n > 0 && haveSpare_) {
+        haveSpare_ = false;
+        --n;
+    }
+    // Whole pairs draw their two uniforms and nothing else; the last
+    // one or two draws run normal() so spare_ ends exactly as it would.
+    for (; n > 2; n -= 2) {
+        uniformPositive();
+        uniform();
+    }
+    for (; n > 0; --n)
+        normal();
+}
+
+double
+Rng::uniformPositive()
+{
+    double u = 0.0;
+    do {
+        u = uniform();
+    } while (u <= 1e-300);
+    return u;
 }
 
 bool

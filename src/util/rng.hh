@@ -42,6 +42,14 @@ class Rng
     /** Standard normal via Box-Muller (mean/sd parameterized). */
     double normal(double mean = 0.0, double sd = 1.0);
 
+    /**
+     * Advance the generator exactly as n normal() calls would, spare
+     * included, without the transcendental math for all but the last
+     * pair. Lets a caller checkpoint a normal() stream every k draws
+     * and replay the pieces from their checkpoints in parallel.
+     */
+    void skipNormals(size_t n);
+
     /** Bernoulli draw with success probability p. */
     bool bernoulli(double p);
 
@@ -65,7 +73,13 @@ class Rng
     /** Derive an independent generator for substream `stream`. */
     Rng fork(uint64_t stream) const;
 
+    /** Same state: equal generators produce equal draws forever. */
+    bool operator==(const Rng &) const = default;
+
   private:
+    /** Box-Muller's first uniform: redrawn until it is above 1e-300. */
+    double uniformPositive();
+
     uint64_t s_[4];
     bool haveSpare_ = false;
     double spare_ = 0.0;

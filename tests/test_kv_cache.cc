@@ -10,6 +10,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "model/config.hh"
@@ -101,6 +102,37 @@ TEST(KvArena, RowsReadZeroBeforeTheirFirstWrite)
     EXPECT_EQ(a.row(5)[3], 7.0f);
     EXPECT_EQ(a.row(4)[7], 0.0f);
     EXPECT_EQ(a.row(6)[0], 0.0f);
+}
+
+TEST(KvArena, CommitsOnFirstWriteWhateverMallocDidBefore)
+{
+    if (!kRssMeaningful)
+        GTEST_SKIP() << "RSS is not measured in debug or sanitizer builds";
+    // One llama2-7b-sim contiguous KvCache arena (32 layers x 512
+    // positions x 192 floats, 12.6 MB). Freeing one lifts glibc's
+    // dynamic mmap threshold above its size; from then on a calloc of
+    // that size is carved from a heap arena and, once the heap has
+    // been used and freed, zero-filled eagerly, committing every page.
+    // A worker thread building one model after another hits exactly
+    // that; the arena must stay lazy anyway.
+    const size_t rows = 32 * 512, width = 192;
+    const double bytes = static_cast<double>(rows * width * sizeof(float));
+    const auto use = [&] {
+        KvArena a(rows, width);
+        a.row(0)[0] = 1.0f;
+    };
+    use();
+    long grown_kb = 0;
+    std::thread([&] {
+        use();
+        const long before = vmRssKb();
+        KvArena a(rows, width);
+        a.row(rows - 1)[0] = 1.0f;
+        grown_kb = vmRssKb() - before;
+    }).join();
+    EXPECT_LT(grown_kb * 1024.0, 0.1 * bytes)
+        << "arena of " << bytes / 1e6 << " MB committed "
+        << grown_kb * 1024.0 / 1e6 << " MB";
 }
 
 TEST(PagedKv, ForkSwapAndTruncateKeepExactRows)

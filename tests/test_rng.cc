@@ -113,6 +113,28 @@ TEST(Rng, ForkIsIndependentOfParentDraws)
         EXPECT_EQ(fork_before.next(), fork_b.next());
 }
 
+TEST(Rng, SkipNormalsMatchesNormalCalls)
+{
+    for (bool spare : {false, true}) {
+        for (size_t n : {0u, 1u, 2u, 3u, 16385u}) {
+            Rng walked(31), skipped(31);
+            if (spare) { // leave the second of a Box-Muller pair pending
+                walked.normal();
+                skipped.normal();
+            }
+            for (size_t i = 0; i < n; ++i)
+                walked.normal();
+            skipped.skipNormals(n);
+            EXPECT_TRUE(walked == skipped)
+                << "n=" << n << " spare=" << spare;
+            for (int i = 0; i < 1000; ++i)
+                ASSERT_EQ(walked.normal(), skipped.normal())
+                    << "n=" << n << " spare=" << spare << " draw " << i;
+            EXPECT_TRUE(walked == skipped);
+        }
+    }
+}
+
 TEST(Zipf, PmfSumsToOne)
 {
     ZipfSampler z(1000, 1.1);

@@ -10,6 +10,8 @@
 
 #include <cmath>
 
+#include "model/config.hh"
+#include "model/weights.hh"
 #include "tensor/kernels.hh"
 #include "tensor/simd.hh"
 #include "tensor/weight_store.hh"
@@ -250,5 +252,39 @@ TEST(Simd, QuantizedGemvEqualAcrossDispatchPaths)
             EXPECT_NEAR(y_fast[i], y_scalar[i],
                         1e-3f + 1e-3f * std::fabs(y_scalar[i]))
                 << weightBackendName(b) << " row " << i;
+    }
+}
+
+TEST(Weights, SevenBFp32EqualsSequentialNormalDraws)
+{
+    // The generator fills matrices in parallel from checkpoints of the
+    // seed stream; every byte must equal one sequential walk of it.
+    const auto cfg = model::ModelConfig::llama2_7b();
+    const model::Weights w(cfg, WeightBackend::Fp32, WeightBackend::Fp32);
+    Rng rng(cfg.weight_seed);
+    const auto expectDraws = [&](const model::WeightMat &m, float sd,
+                                 const char *name, bool unit_rows = false) {
+        Vec row(m.cols()), want(m.cols());
+        for (size_t r = 0; r < m.rows(); ++r) {
+            for (float &x : want)
+                x = static_cast<float>(rng.normal(0.0, sd));
+            if (unit_rows)
+                scaleInplace(want, 1.0f / norm2(want));
+            m.copyRow(r, row);
+            ASSERT_EQ(row, want) << name << " row " << r;
+        }
+    };
+    const float h = static_cast<float>(cfg.sim.hidden);
+    const float f = static_cast<float>(cfg.sim.ffn);
+    expectDraws(w.embedding(), 1.0f, "embedding", true);
+    for (int l = 0; l < cfg.n_layers; ++l) {
+        const model::LayerWeights &lw = w.layer(l);
+        expectDraws(lw.wq, 1.0f / std::sqrt(h), "wq");
+        expectDraws(lw.wk, 1.0f / std::sqrt(h), "wk");
+        expectDraws(lw.wv, 1.0f / std::sqrt(h), "wv");
+        expectDraws(lw.wo, 1.0f / std::sqrt(h), "wo");
+        expectDraws(lw.w_gate, 1.0f / std::sqrt(h), "w_gate");
+        expectDraws(lw.w_up, 1.0f / std::sqrt(h), "w_up");
+        expectDraws(lw.w_down, 1.0f / std::sqrt(f), "w_down");
     }
 }
