@@ -17,6 +17,8 @@ namespace specee::engines {
 namespace {
 constexpr double kFp16 = 2.0;
 constexpr double kQ4Factor = 4.5 / 16.0; ///< Q4 bytes per fp16 byte
+/** Queries per tile of the modeled prefill-attention kernel. */
+constexpr int kAttnQueryTile = 128;
 } // namespace
 
 model::TargetModelOptions
@@ -211,11 +213,12 @@ Engine::chargeLayers(hw::OpLog &log, int n_layers, int batch,
                    /*kernels=*/10 * n_layers);
 
     // KV traffic: read all cached positions per layer, write one.
+    // Each position costs 2h flops in QK^T and 2h more in PV.
     const double kv_read =
         2.0 * h * kFp16 * static_cast<double>(logical_pos) * n_layers *
         batch;
     cost_->account(log, hw::OpClass::KvRead,
-                   2.0 * h * logical_pos * n_layers * batch, 0.0, kv_read,
+                   4.0 * h * logical_pos * n_layers * batch, 0.0, kv_read,
                    n_layers);
 
     if (hwspec_.sync_us_per_layer > 0.0) {
@@ -371,16 +374,24 @@ Engine::chargePrefillChunk(hw::OpLog &log, int n_tokens,
 
     // Chunk-scaled compute leg: projection/FFN GEMMs over n_tokens
     // per layer, plus causal attention where token i of the chunk
-    // attends to past_len + i + 1 cached positions.
+    // attends to past_len + i + 1 cached positions (2h flops each in
+    // QK^T and in PV).
     const double params = layerWeightBytes(false) / kFp16;
     const double attended =
         nt * static_cast<double>(past_len) + 0.5 * nt * (nt + 1.0);
     const double flops =
-        (2.0 * params * nt + 2.0 * h * attended) * L;
+        (2.0 * params * nt + 4.0 * h * attended) * L;
+    // The attention kernel is tiled: query tile j streams K/V rows
+    // [0, past_len + min((j+1) * kAttnQueryTile, n_tokens)) once.
+    double kv_rows = 0.0;
+    for (int end = 0; end < n_tokens;) {
+        end = std::min(end + kAttnQueryTile, n_tokens);
+        kv_rows += static_cast<double>(past_len) + end;
+    }
     const double act_bytes =
-        (2.0 * h * kFp16 * nt          // residual stream in/out
-         + 2.0 * h * kFp16 * attended  // k/v reads of attention
-         + 2.0 * h * kFp16 * nt) *     // k/v writes of the chunk
+        (2.0 * h * kFp16 * nt         // residual stream in/out
+         + 2.0 * h * kFp16 * kv_rows  // k/v reads of attention
+         + 2.0 * h * kFp16 * nt) *    // k/v writes of the chunk
         L;
     cost_->account(log, hw::OpClass::PrefillCompute, flops, 0.0,
                    act_bytes, 2 * L);

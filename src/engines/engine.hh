@@ -287,7 +287,11 @@ class Engine
      * weights once for prefill chunks and decode steps alike); the
      * chunk-scaled side — GEMM flops over n_tokens, causal attention
      * over the growing past, per-token activations and KV writes —
-     * is charged as private PrefillCompute traffic.
+     * is charged as private PrefillCompute traffic. Attention runs
+     * in tiles of 128 queries, FlashAttention-style: each tile
+     * streams the K/V rows its queries attend to once, so the KV
+     * read bytes grow with (past_len + tile end) per tile, not with
+     * every (query, key) pair.
      */
     void chargePrefillChunk(hw::OpLog &log, int n_tokens,
                             int past_len) const;

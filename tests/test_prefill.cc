@@ -7,15 +7,19 @@
  * prefilled session with bit-identical recompute), determinism
  * across worker counts, the two-tier priority policy (queue order,
  * admission, preemption victims), streaming backpressure
- * cancellation, and the interactive-TTFT win of chunking over
- * monolithic priced prefill.
+ * cancellation, the interactive-TTFT win of chunking over
+ * monolithic priced prefill, and the tiled prefill-attention cost
+ * (K/V streamed once per 128-query tile, both attention GEMMs'
+ * flops) on llama2-7b true dims.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "engines/decode_session.hh"
 #include "metrics/stats.hh"
+#include "oracle/profiles.hh"
 #include "serve/prefill_planner.hh"
 #include "serve/server.hh"
 #include "test_util.hh"
@@ -61,6 +65,75 @@ serveStream(const serve::ServerOptions &opts,
     serve::Server server(testutil::tinyPipeline(), opts);
     server.submit(stream);
     return server.drain();
+}
+
+/**
+ * Dense HuggingFace engine on llama2-7b/a100 with one 4096-token
+ * request: the true dims the prefill cost closed forms below use.
+ */
+struct SevenB
+{
+    model::ModelConfig cfg = model::ModelConfig::llama2_7b();
+    oracle::SyntheticCorpus corpus{cfg.sim.vocab, 1};
+    engines::Engine engine{engines::EngineConfig::huggingFace(), cfg,
+                           hw::HardwareSpec::a100(), corpus};
+    workload::Workload w;
+
+    SevenB()
+    {
+        workload::GenOptions gen = testutil::smallGen(1, 4);
+        gen.prompt_len_override = 4096;
+        w = workload::WorkloadGen(corpus).generate(
+            oracle::profileByName("MT-Bench"), cfg, gen);
+    }
+
+    double h() const { return cfg.truth.hidden; }
+    double L() const { return cfg.n_layers; }
+    /** Projection + FFN parameters of one decoder layer. */
+    double layerParams() const
+    {
+        return 4.0 * h() * h() + 3.0 * h() * cfg.truth.ffn;
+    }
+
+    /** Oplog after ingesting the prompt in `chunks` and `decode` steps. */
+    hw::OpLog run(const std::vector<int> &chunks, int decode = 0)
+    {
+        auto s = engine.makeSession(w, 7);
+        for (int n : chunks)
+            EXPECT_EQ(s->prefillChunk(n), n);
+        for (int i = 0; i < decode; ++i)
+            s->step();
+        return s->finalize().stats.oplog;
+    }
+
+    /** PrefillCompute seconds of an `n`-token chunk after `past`. */
+    double chunkComputeSeconds(int past, int n)
+    {
+        auto s = engine.makeSession(w, 7);
+        if (past > 0)
+            s->prefillChunk(past);
+        s->prefillChunk(n);
+        for (const auto &[cls, sec] : s->lastStep().class_s)
+            if (cls == static_cast<int>(hw::OpClass::PrefillCompute))
+                return sec;
+        return 0.0;
+    }
+};
+
+SevenB &
+sevenB()
+{
+    static SevenB s;
+    return s;
+}
+
+/** PrefillCompute of a 4096-token prompt ingested in `chunk`s. */
+hw::OpTotals
+promptCompute(int chunk)
+{
+    return sevenB()
+        .run(std::vector<int>(4096 / chunk, chunk))
+        .totals(hw::OpClass::PrefillCompute);
 }
 
 } // namespace
@@ -338,6 +411,60 @@ TEST(ChunkedPrefill, InteractiveTtftBeatsMonolithicPrefill)
         EXPECT_EQ(rm.outcomes[i].result.emissions[0].tokens,
                   rc.outcomes[i].result.emissions[0].tokens);
     }
+}
+
+TEST(TiledPrefillAttention, LateChunkStreamsKvOncePerQueryTile)
+{
+    // A 256-token chunk after 3840 past positions runs two 128-query
+    // tiles, which stream 3840 + 128 and 3840 + 256 K/V rows. Its
+    // PrefillCompute bytes are the residual stream in/out, those K/V
+    // reads and the chunk's K/V writes: 2h fp16 bytes per row each.
+    auto &m = sevenB();
+    const double whole =
+        m.run({3840, 256}).totals(hw::OpClass::PrefillCompute).bytes;
+    const double head =
+        m.run({3840}).totals(hw::OpClass::PrefillCompute).bytes;
+    const double rows = 256.0 + (3968.0 + 4096.0) + 256.0;
+    EXPECT_DOUBLE_EQ(whole - head, 2.0 * m.h() * 2.0 * rows * m.L());
+
+    // Streaming the past once per tile leaves the chunk's GEMMs, not
+    // its K/V reads, setting its time however long the past is.
+    const double early = m.chunkComputeSeconds(0, 256);
+    const double late = m.chunkComputeSeconds(3840, 256);
+    EXPECT_GT(early, 0.0);
+    EXPECT_LT(late, 1.5 * early);
+}
+
+TEST(TiledPrefillAttention, KvBytesIndependentOfTileAlignedChunking)
+{
+    // Chunks that are whole multiples of the 128-query tile keep the
+    // tiles aligned to the prompt, so every split of a 4096-token
+    // prompt streams the same K/V rows: sum_k 128k for k = 1..32.
+    auto &m = sevenB();
+    const double rows = 128.0 * (32.0 * 33.0 / 2.0);
+    const double bytes =
+        2.0 * m.h() * 2.0 * (4096.0 + rows + 4096.0) * m.L();
+    for (int chunk : {4096, 1024, 256, 128})
+        EXPECT_DOUBLE_EQ(promptCompute(chunk).bytes, bytes) << chunk;
+    // 64-token chunks are half tiles: each re-streams the past.
+    EXPECT_GT(promptCompute(64).bytes, bytes);
+}
+
+TEST(TiledPrefillAttention, AttentionFlopsCountQkAndPv)
+{
+    // QK^T and PV each cost 2h flops per attended (query, key) pair.
+    auto &m = sevenB();
+    const double attended = 4096.0 * 4097.0 / 2.0;
+    EXPECT_DOUBLE_EQ(
+        promptCompute(4096).flops,
+        (2.0 * m.layerParams() * 4096.0 + 4.0 * m.h() * attended) * m.L());
+
+    // A decode step reads every cached position's K and V: 4h bytes
+    // and 4h flops per position per layer, still memory-bound.
+    const auto kv =
+        m.run({4096}, /*decode=*/1).totals(hw::OpClass::KvRead);
+    EXPECT_DOUBLE_EQ(kv.flops, 4.0 * m.h() * 4096.0 * m.L());
+    EXPECT_DOUBLE_EQ(kv.bytes, kv.flops);
 }
 
 TEST(Priority, RequestQueuePopsInteractiveFirstFifoWithinTier)
