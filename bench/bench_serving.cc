@@ -143,7 +143,11 @@ writeJson(const std::string &path, const std::string &model,
                  points.size());
 }
 
-/** Fleet latency fields shared by every sweep's JSON point. */
+/**
+ * Fleet latency fields shared by every sweep's JSON point, plus the
+ * launch seconds the batch merge removed — the pricing term behind
+ * the batched ITL.
+ */
 void
 latencyFields(JsonPoint &p, const serve::FleetStats &f)
 {
@@ -152,7 +156,8 @@ latencyFields(JsonPoint &p, const serve::FleetStats &f)
         .num("p99_ttft_s", f.p99_ttft_s, 5)
         .num("p50_itl_s", f.p50_itl_s, 5)
         .num("p99_itl_s", f.p99_itl_s, 5)
-        .num("p99_latency_s", f.p99_latency_s, 5);
+        .num("p99_latency_s", f.p99_latency_s, 5)
+        .num("launch_merged_s", f.launch_merged_s, 5);
 }
 
 double

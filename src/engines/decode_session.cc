@@ -204,6 +204,8 @@ DecodeSession::prefillChunk(int n_tokens)
     // whole pipeline and skips no KV.
     lastDeepest_ = eng_.mcfg_.n_layers;
     lastFillLo_ = eng_.mcfg_.n_layers;
+    lastPredLayers_.reset();
+    lastAttnLayers_ = 0;
     captureCost(before, 0);
     return take;
 }
@@ -240,6 +242,8 @@ DecodeSession::captureCost(
     last_.tokens = tokens;
     last_.deepest_layer = lastDeepest_;
     last_.stages_used = g.stagesForDepth(lastDeepest_);
+    last_.predictor_layers = lastPredLayers_;
+    last_.attn_layers = lastAttnLayers_;
     if (n_stages > 1) {
         last_.stage_shared_s.assign(static_cast<size_t>(n_stages), 0.0);
         last_.stage_shared_j.assign(static_cast<size_t>(n_stages), 0.0);
@@ -438,6 +442,8 @@ DecodeSession::stepAutoregressive()
     // and back-fills KV for the skipped tail.
     lastDeepest_ = o.layers_used;
     lastFillLo_ = o.layers_used;
+    lastPredLayers_ = o.predictor_layers;
+    lastAttnLayers_ = o.layers_used;
     return !finished();
 }
 
@@ -463,6 +469,8 @@ DecodeSession::stepSpeculative()
         ++stepIdx_;
         lastDeepest_ = o.layers_used;
         lastFillLo_ = o.layers_used;
+        lastPredLayers_ = o.predictor_layers;
+        lastAttnLayers_ = o.layers_used;
         return !finished();
     }
 
@@ -576,6 +584,8 @@ DecodeSession::stepSpeculative()
     // exited — min_exit_layers stays at full depth).
     lastDeepest_ = pass_layers;
     lastFillLo_ = min_exit_layers;
+    lastPredLayers_.reset();
+    lastAttnLayers_ = 0;
     return !finished();
 }
 

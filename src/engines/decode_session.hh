@@ -45,7 +45,10 @@ namespace specee::engines {
  * Cost record of one session step, split along the roofline: shared
  * traffic (weight-bound, read once per decode iteration and
  * amortized across the batch) vs private traffic (per-request KV
- * reads, predictors, sliced heads).
+ * reads, predictors, sliced heads). The private side includes the
+ * per-layer launches of the attention and predictor kernels; the
+ * layers they ran at (attn_layers, predictor_layers) let a batch
+ * scheduler price those launches once per layer for the whole batch.
  */
 struct StepCost
 {
@@ -69,6 +72,21 @@ struct StepCost
      * backfill the rest. 1 (or 0 when idle) on unsharded engines.
      */
     int stages_used = 0;
+
+    /**
+     * Layers at which this step charged a SpecEE predictor event
+     * (sliced head + MLP, Engine::predictorLaunch each). Set by
+     * per-token charges only: token-tree passes already merge their
+     * lanes into one pipeline per layer and leave this empty.
+     */
+    LayerMask predictor_layers;
+
+    /**
+     * Layers whose per-layer attention launch (Engine::kvReadLaunch)
+     * this step charged: the decode depth of an autoregressive
+     * token, 0 for tree passes, prefill chunks and idle steps.
+     */
+    int attn_layers = 0;
 
     /**
      * Per-stage split of the shared (weight-bound) roofline time and
@@ -335,6 +353,9 @@ class DecodeSession
     int lastDeepest_ = 0;
     /** First layer of the last step's KV-fill range ([lo, L)). */
     int lastFillLo_ = 0;
+    /** Predictor layers / attention depth the last step charged. */
+    LayerMask lastPredLayers_;
+    int lastAttnLayers_ = 0;
     StepCost last_;
 };
 

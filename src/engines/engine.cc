@@ -19,6 +19,10 @@ constexpr double kFp16 = 2.0;
 constexpr double kQ4Factor = 4.5 / 16.0; ///< Q4 bytes per fp16 byte
 /** Queries per tile of the modeled prefill-attention kernel. */
 constexpr int kAttnQueryTile = 128;
+/** Sliced GEMV, softmax, delta: launches per feature extraction. */
+constexpr int kSlicedHeadKernels = 6;
+/** Two linear layers + activations + threshold: MLP launches. */
+constexpr int kPredictorKernels = 8;
 } // namespace
 
 model::TargetModelOptions
@@ -47,6 +51,9 @@ Engine::Engine(const EngineConfig &ecfg, const model::ModelConfig &mcfg,
                   "legacy `quantized` and `weight_backend` are "
                   "mutually exclusive");
     specee_assert(ecfg.tp >= 1, "tp must be >= 1, got %d", ecfg.tp);
+    specee_assert(mcfg.n_layers <= kMaxLayers,
+                  "%d decoder layers exceed the %d a LayerMask covers",
+                  mcfg.n_layers, kMaxLayers);
     if (ecfg.tp > 1 || ecfg.pp > 1) {
         // Stage-level sharding composes tp x pp single-device specs;
         // the legacy monolithic multi-GPU presets (a100x4's
@@ -302,7 +309,7 @@ Engine::chargeLmHeadSliced(hw::OpLog &log, int groups, int k,
     // softmax, delta) issued once per activated layer regardless of
     // the number of hyper-token groups (Fig. 13's grouped GEMM).
     cost_->account(log, hw::OpClass::LmHeadSliced, flops, 0.0, bytes,
-                   6 * layer_events);
+                   kSlicedHeadKernels * layer_events);
 }
 
 void
@@ -312,7 +319,7 @@ Engine::chargePredictor(hw::OpLog &log, int batch, int layer_events) const
         preds_ != nullptr ? static_cast<double>(
                                 preds_->paramsPerPredictor())
                           : 12.0 * 512 + 512;
-    // Two linear layers + activations + threshold: ~8 launches per
+    // Two linear layers + activations + threshold: 8 launches per
     // activated layer. Together with feature extraction this prices a
     // predictor invocation at ~90us on A100, matching §7.4.4's
     // 0.9 ms/token over ~10 active predictors. Predictor MLPs stay
@@ -320,13 +327,37 @@ Engine::chargePredictor(hw::OpLog &log, int batch, int layer_events) const
     // their parameter reads are charged as activation traffic (no
     // backend compression, no offload split).
     cost_->account(log, hw::OpClass::Predictor, 2.0 * params * batch,
-                   0.0, params * 4.0 + 64.0 * batch, 8 * layer_events);
+                   0.0, params * 4.0 + 64.0 * batch,
+                   kPredictorKernels * layer_events);
     // Hybrid runtimes stall their GPU graph per host-side check.
     if (hwspec_.predictor_stall_us > 0.0) {
         cost_->accountFixed(log, hw::OpClass::Predictor,
                             hwspec_.predictor_stall_us * 1e-6 *
                                 layer_events);
     }
+}
+
+LaunchCost
+Engine::predictorLaunch() const
+{
+    const hw::HardwareSpec &s = cost_->spec();
+    const double head_s = kSlicedHeadKernels * s.launch_overhead_us * 1e-6;
+    const double mlp_s = kPredictorKernels * s.launch_overhead_us * 1e-6 +
+                         s.predictor_stall_us * 1e-6;
+    const auto power = [&](hw::OpClass c) {
+        return s.power_w[static_cast<size_t>(c)];
+    };
+    const double j = head_s * power(hw::OpClass::LmHeadSliced) +
+                     mlp_s * power(hw::OpClass::Predictor);
+    return {head_s + mlp_s, j};
+}
+
+LaunchCost
+Engine::kvReadLaunch() const
+{
+    const hw::HardwareSpec &s = cost_->spec();
+    const double t = s.launch_overhead_us * 1e-6;
+    return {t, t * s.power_w[static_cast<size_t>(hw::OpClass::KvRead)]};
 }
 
 void
@@ -552,6 +583,7 @@ Engine::decodeToken(int input_token, const model::TokenScript &script,
             if (log != nullptr) {
                 chargeLmHeadSliced(*log, 1, mcfg_.num_spec_tokens, 1);
                 chargePredictor(*log, 1, 1);
+                out.predictor_layers.set(static_cast<size_t>(l));
             }
             if (!preds_->shouldExit(l, feats, ecfg_.exit_threshold))
                 continue;

@@ -14,6 +14,7 @@
 #ifndef SPECEE_ENGINES_ENGINE_HH
 #define SPECEE_ENGINES_ENGINE_HH
 
+#include <bitset>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,6 +38,19 @@
 namespace specee::engines {
 
 class DecodeSession;
+
+/** Decoder depth a LayerMask covers (llama2-70b has 80 layers). */
+constexpr int kMaxLayers = 128;
+
+/** One bit per decoder layer. */
+using LayerMask = std::bitset<kMaxLayers>;
+
+/** Modeled seconds and energy of a group of kernel launches. */
+struct LaunchCost
+{
+    double s = 0.0;
+    double j = 0.0;
+};
 
 /** Aggregate statistics of one engine run. */
 struct RunStats
@@ -170,6 +184,22 @@ class Engine
     /** Exitable layers (n_layers - 1). */
     int nExitLayers() const { return mcfg_.n_layers - 1; }
 
+    /**
+     * Launch share of one predictor event: the sliced-head and MLP
+     * kernel launches (plus the platform's predictor stall) that
+     * chargeLmHeadSliced and chargePredictor add per activated layer.
+     * A batch that evaluates predictors at the same layer issues this
+     * pipeline once.
+     */
+    LaunchCost predictorLaunch() const;
+
+    /**
+     * Launch share of one layer's attention: the per-layer KvRead
+     * launch chargeLayers adds. A batch issues one attention kernel
+     * per layer, down to its deepest session.
+     */
+    LaunchCost kvReadLaunch() const;
+
   private:
     friend class DecodeSession;
 
@@ -180,6 +210,8 @@ class Engine
         bool exited = false; ///< early exit taken
         int exit_layer = -1; ///< layer of the exit (if any)
         int predictors_used = 0; ///< activated predictors this token
+        /** Layers whose predictor event was charged (charged decodes). */
+        LayerMask predictor_layers;
     };
 
     /** True when a predictor is active at `layer` for this token. */
@@ -216,12 +248,29 @@ class Engine
     double layerWeightBytes(bool ffn_sparse) const;
     /** Head/embedding compression factor (legacy AWQ keeps fp16). */
     double headCompression() const;
+    /**
+     * Decoder stream of `n_layers` layers over `batch` rows, plus
+     * their attention: one KvRead launch per layer. A serving batch
+     * shares those launches (kvReadLaunch) down to its deepest
+     * autoregressive session.
+     */
     void chargeLayers(hw::OpLog &log, int n_layers, int batch,
                       int logical_pos) const;
     void chargeKvFill(hw::OpLog &log, int n_layers, int batch) const;
     void chargeLmHeadFull(hw::OpLog &log, int batch) const;
+    /**
+     * Sliced-head feature extraction: one grouped launch pipeline per
+     * activated layer (`layer_events`), whatever the group count. A
+     * serving batch merges the pipelines of sessions that activate
+     * the same layer (predictorLaunch).
+     */
     void chargeLmHeadSliced(hw::OpLog &log, int groups, int k,
                             int layer_events) const;
+    /**
+     * Predictor MLP over `batch` rows: one launch pipeline (and one
+     * platform stall) per activated layer, merged across a serving
+     * batch like the sliced head.
+     */
     void chargePredictor(hw::OpLog &log, int batch,
                          int layer_events) const;
     void chargeDraft(hw::OpLog &log, int forwards) const;

@@ -103,6 +103,40 @@ struct Entry
     engines::StepCost cost; ///< most recent iteration's step cost
 };
 
+/**
+ * Launch time and energy device `d` saves by issuing each per-layer
+ * kernel once for its whole batch: one predictor pipeline per layer
+ * at which any of its sessions evaluated a predictor, one attention
+ * launch per layer down to its deepest session. Each session's
+ * private cost charged those launches for itself; the saving is the
+ * sum of those charges minus the merged launches. Exactly zero when
+ * at most one session on `d` charged any.
+ */
+engines::LaunchCost
+mergedLaunchSaving(const std::vector<Entry> &active, size_t d,
+                   const engines::LaunchCost &pred,
+                   const engines::LaunchCost &attn)
+{
+    engines::LayerMask any_pred;
+    int attn_depth = 0;
+    long pred_events = 0, attn_launches = 0;
+    for (const auto &a : active) {
+        if (a.device != d)
+            continue;
+        any_pred |= a.cost.predictor_layers;
+        pred_events += static_cast<long>(a.cost.predictor_layers.count());
+        attn_depth = std::max(attn_depth, a.cost.attn_layers);
+        attn_launches += a.cost.attn_layers;
+    }
+    // What remains is launched more than once per layer.
+    pred_events -= static_cast<long>(any_pred.count());
+    attn_launches -= attn_depth;
+    const double dup_pred = static_cast<double>(pred_events);
+    const double dup_attn = static_cast<double>(attn_launches);
+    return {dup_pred * pred.s + dup_attn * attn.s,
+            dup_pred * pred.j + dup_attn * attn.j};
+}
+
 } // namespace
 
 FleetStats
@@ -128,6 +162,9 @@ BatchScheduler::run(const engines::Pipeline &pipe,
 
     const engines::EngineConfig &ecfg = engines.front()->config();
     const model::ModelConfig &mcfg = engines.front()->modelConfig();
+    const engines::LaunchCost pred_launch =
+        engines.front()->predictorLaunch();
+    const engines::LaunchCost attn_launch = engines.front()->kvReadLaunch();
     const size_t slots = static_cast<size_t>(opts_.max_batch);
 
     // The fleet's pipeline shape. Workers must shard identically —
@@ -1409,12 +1446,15 @@ BatchScheduler::run(const engines::Pipeline &pipe,
         }
         // Each decode device prices its own share of the batch
         // (per-device shared weight-stream max — or per-stage maxima
-        // when stage pricing is on — plus its private sum) and the
-        // fleet advances in lockstep at the slowest device. One
-        // device reproduces the legacy single-device arithmetic
-        // bit-identically.
+        // when stage pricing is on — plus its private sum, less the
+        // per-layer launches its sessions share) and the fleet
+        // advances in lockstep at the slowest device. One device
+        // reproduces the legacy single-device arithmetic
+        // bit-identically, and a lone session saves nothing.
         double dt = 0.0;
         for (int d = 0; d < n_decode_dev; ++d) {
+            const engines::LaunchCost merged = mergedLaunchSaving(
+                active, static_cast<size_t>(d), pred_launch, attn_launch);
             double shared_t = 0.0, private_t = 0.0;
             double shared_e = 0.0, private_e = 0.0;
             for (const auto &a : active) {
@@ -1423,6 +1463,8 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                 private_t += a.cost.private_s;
                 private_e += a.cost.private_j;
             }
+            private_t -= merged.s;
+            private_e -= merged.j;
             if (staged && opts_.stage_pricing) {
                 std::vector<double> st(static_cast<size_t>(n_stages),
                                        0.0);
@@ -1457,6 +1499,7 @@ BatchScheduler::run(const engines::Pipeline &pipe,
             }
             dt = std::max(dt, shared_t + private_t);
             fleet.energy_j += shared_e + private_e;
+            fleet.launch_merged_s += merged.s;
         }
         clock += dt;
         if (tracing) {

@@ -347,6 +347,16 @@ struct FleetStats
     double energy_per_token_j = 0.0;
     double avg_power_w = 0.0;
 
+    /**
+     * Modeled launch seconds the batch merge removed, summed over
+     * iterations and decode devices: per-layer predictor pipelines
+     * and attention launches that several sessions on one device
+     * charged but the device issued once (engines::StepCost). 0 at
+     * max_batch = 1. Summed per device, so it can exceed the clock
+     * time saved when a non-critical device merges.
+     */
+    double launch_merged_s = 0.0;
+
     /** Mean decode-batch occupancy over iterations. */
     double mean_batch_occupancy = 0.0;
 

@@ -5,14 +5,16 @@
  * regardless of worker count, FIFO admission fairness,
  * fleet-vs-per-request stats consistency, sequential equivalence of
  * the live scheduler with Engine::runOne, KV-pressure preemption,
- * deadline drops, per-token streaming / TTFT metrics, and the
- * batched-serving speedup over sequential execution.
+ * deadline drops, per-token streaming / TTFT metrics, the
+ * batched-serving speedup over sequential execution, and the merged
+ * per-layer launches of a batch's predictor and attention kernels.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "engines/decode_session.hh"
 #include "serve/server.hh"
 #include "test_util.hh"
 
@@ -41,6 +43,100 @@ serverOpts(int workers, int max_batch)
     o.workers = workers;
     o.sched.max_batch = max_batch;
     return o;
+}
+
+/** `n` copies of one request, all arriving at t = 0. */
+std::vector<serve::Request>
+identicalRequests(int n, int gen_len)
+{
+    const serve::Request r = makeStream(1, 0.0, gen_len).front();
+    std::vector<serve::Request> out(static_cast<size_t>(n), r);
+    for (int i = 0; i < n; ++i)
+        out[static_cast<size_t>(i)].id = static_cast<uint64_t>(i);
+    return out;
+}
+
+/**
+ * Decode `n` sessions of request `r` in lockstep outside the
+ * scheduler; the step costs of every session, per iteration.
+ */
+std::vector<std::vector<engines::StepCost>>
+lockstepCosts(const engines::Pipeline &pipe, engines::Engine &eng,
+              const serve::Request &r, int n)
+{
+    serve::Request one = r;
+    one.gen.n_instances = 1;
+    const bool q4 = eng.config().q4Calibrated();
+    const auto w = serve::buildPromptWorkload(pipe, one, q4);
+    std::vector<std::unique_ptr<engines::DecodeSession>> sessions;
+    for (int i = 0; i < n; ++i) {
+        sessions.push_back(eng.makeSession(w, r.seed));
+        sessions.back()->prefill();
+    }
+    std::vector<std::vector<engines::StepCost>> iters;
+    while (!sessions.front()->finished()) {
+        auto &costs = iters.emplace_back();
+        for (auto &s : sessions) {
+            s->step();
+            costs.push_back(s->lastStep());
+        }
+    }
+    return iters;
+}
+
+/** Launch seconds a step charged for its own per-layer kernels. */
+double
+ownLaunchS(const engines::StepCost &c, const engines::Engine &eng)
+{
+    return static_cast<double>(c.predictor_layers.count()) *
+               eng.predictorLaunch().s +
+           c.attn_layers * eng.kvReadLaunch().s;
+}
+
+/**
+ * One device's iteration time with each per-layer kernel launched
+ * once: max shared + sum(private - own launch) + union launch.
+ */
+double
+mergedTime(const std::vector<engines::StepCost> &costs,
+           const engines::Engine &eng)
+{
+    double shared = 0.0, priv = 0.0;
+    engines::LayerMask any_pred;
+    int deepest = 0;
+    for (const auto &c : costs) {
+        shared = std::max(shared, c.shared_s);
+        priv += c.private_s - ownLaunchS(c, eng);
+        any_pred |= c.predictor_layers;
+        deepest = std::max(deepest, c.attn_layers);
+    }
+    return shared + priv +
+           static_cast<double>(any_pred.count()) *
+               eng.predictorLaunch().s +
+           deepest * eng.kvReadLaunch().s;
+}
+
+/** The same iteration with every session's launches summed. */
+double
+summedTime(const std::vector<engines::StepCost> &costs)
+{
+    double shared = 0.0, priv = 0.0;
+    for (const auto &c : costs) {
+        shared = std::max(shared, c.shared_s);
+        priv += c.private_s;
+    }
+    return shared + priv;
+}
+
+/** Modeled length of every iteration of a traced run, in order. */
+std::vector<double>
+iterationSpans(const serve::FleetStats &fleet)
+{
+    std::vector<double> out;
+    for (const auto &ev : fleet.trace)
+        if (ev.kind == obs::TraceKind::Iteration)
+            out.push_back(ev.t1 - ev.t0);
+    return out;
 }
 
 } // namespace
@@ -241,6 +337,113 @@ TEST(Server, BatchedServingBeatsSequential)
     EXPECT_GT(rb.fleet.mean_batch_occupancy, 1.5);
     // Amortized weight reads also cut fleet energy.
     EXPECT_LT(rb.fleet.energy_j, rs.fleet.energy_j);
+}
+
+TEST(BatchScheduler, MergesPerLayerLaunchesAcrossTheBatch)
+{
+    // Four identical requests step in lockstep on one device: each
+    // layer's predictor pipeline and attention kernel launch once for
+    // the batch, not once per session.
+    const auto &pipe = testutil::tinyPipeline();
+    const auto stream = identicalRequests(4, 12);
+    auto opts = serverOpts(1, 4);
+    opts.sched.trace.enabled = true;
+    serve::Server server(pipe, opts);
+    server.submit(stream);
+    const auto rep = server.drain();
+
+    auto eng = pipe.makeEngine(opts.engine, opts.spec);
+    const auto iters = lockstepCosts(pipe, *eng, stream.front(), 4);
+    const auto spans = iterationSpans(rep.fleet);
+    ASSERT_EQ(spans.size(), iters.size());
+    double saved = 0.0;
+    bool any_predictor = false;
+    for (size_t i = 0; i < iters.size(); ++i) {
+        const double merged = mergedTime(iters[i], *eng);
+        EXPECT_NEAR(spans[i], merged, 1e-9 * merged) << "iteration " << i;
+        EXPECT_LT(spans[i], summedTime(iters[i])) << "iteration " << i;
+        saved += summedTime(iters[i]) - merged;
+        any_predictor |= iters[i].front().predictor_layers.any();
+    }
+    EXPECT_TRUE(any_predictor);
+    EXPECT_NEAR(rep.fleet.launch_merged_s, saved, 1e-9 * saved);
+}
+
+TEST(BatchScheduler, LaunchMergeStaysWithinEachDevice)
+{
+    // Two unified devices, two sessions each: a device merges only
+    // the launches of its own sessions.
+    const auto &pipe = testutil::tinyPipeline();
+    const auto stream = identicalRequests(4, 12);
+    auto opts = serverOpts(2, 4);
+    opts.sched.topology.devices = 2;
+    opts.sched.trace.enabled = true;
+    serve::Server server(pipe, opts);
+    server.submit(stream);
+    const auto rep = server.drain();
+
+    auto eng = pipe.makeEngine(opts.engine, opts.spec);
+    const auto iters = lockstepCosts(pipe, *eng, stream.front(), 4);
+    const auto spans = iterationSpans(rep.fleet);
+    ASSERT_EQ(spans.size(), iters.size());
+    double saved = 0.0, fleet_wide = 0.0;
+    for (size_t i = 0; i < iters.size(); ++i) {
+        // Round-robin placement: sessions 0, 2 on device 0; 1, 3 on 1.
+        const std::vector<engines::StepCost> dev0 = {iters[i][0],
+                                                     iters[i][2]};
+        const std::vector<engines::StepCost> dev1 = {iters[i][1],
+                                                     iters[i][3]};
+        const double expect =
+            std::max(mergedTime(dev0, *eng), mergedTime(dev1, *eng));
+        EXPECT_NEAR(spans[i], expect, 1e-9 * expect) << "iteration " << i;
+        saved += summedTime(dev0) - mergedTime(dev0, *eng) +
+                 summedTime(dev1) - mergedTime(dev1, *eng);
+        fleet_wide += summedTime(iters[i]) - mergedTime(iters[i], *eng);
+    }
+    EXPECT_GT(saved, 0.0);
+    EXPECT_NEAR(rep.fleet.launch_merged_s, saved, 1e-9 * saved);
+    EXPECT_LT(rep.fleet.launch_merged_s, fleet_wide);
+}
+
+TEST(BatchScheduler, LaunchMergeCoversEveryLayerOfA70bModel)
+{
+    // llama2-70b has 80 layers: predictors placed above layer 63 must
+    // merge like any other.
+    static const engines::Pipeline pipe([] {
+        engines::PipelineOptions o;
+        o.model = "llama2-70b";
+        o.train_instances = 2;
+        o.train_gen_len = 16;
+        o.mlp_hidden = 64;
+        o.train_cfg.epochs = 5;
+        o.seed = 43;
+        return o;
+    }());
+    const auto stream = identicalRequests(3, 6);
+    serve::ServerOptions opts;
+    opts.engine = engines::EngineConfig::huggingFace().withSpecEE();
+    opts.engine.fixed_predictor_layers = {64, 68, 72, 76};
+    opts.spec = hw::HardwareSpec::a100x4();
+    opts.workers = 1;
+    opts.sched.max_batch = 3;
+    opts.sched.trace.enabled = true;
+    serve::Server server(pipe, opts);
+    server.submit(stream);
+    const auto rep = server.drain();
+
+    auto eng = pipe.makeEngine(opts.engine, opts.spec);
+    const auto iters = lockstepCosts(pipe, *eng, stream.front(), 3);
+    const auto spans = iterationSpans(rep.fleet);
+    ASSERT_EQ(spans.size(), iters.size());
+    double saved = 0.0;
+    for (size_t i = 0; i < iters.size(); ++i) {
+        EXPECT_TRUE(iters[i].front().predictor_layers.test(64))
+            << "iteration " << i;
+        const double merged = mergedTime(iters[i], *eng);
+        EXPECT_NEAR(spans[i], merged, 1e-9 * merged) << "iteration " << i;
+        saved += summedTime(iters[i]) - merged;
+    }
+    EXPECT_NEAR(rep.fleet.launch_merged_s, saved, 1e-9 * saved);
 }
 
 TEST(BatchScheduler, EmbedIsBatchAmortized)

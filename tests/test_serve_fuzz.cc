@@ -50,7 +50,13 @@
  *     deferrals) and its iteration spans with the iteration count;
  *     step / chunk spans never overlap within one (device, lane)
  *     track; and the merged trace, the timeline windows and the SLO
- *     verdicts are bit-identical across worker counts.
+ *     verdicts are bit-identical across worker counts;
+ * 10. merged launches (traced draws): each decode iteration's priced
+ *     time lies between its costliest session's step cost and the
+ *     per-session launch sum (max shared + sum of private per
+ *     device, the formula before per-layer kernels merged across
+ *     the batch), and equals the costliest step whenever no device
+ *     stepped more than one session.
  *
  * The default seed set is fixed (CI runs it in Release and under
  * TSan); SPECEE_FUZZ_SEEDS=<n> widens the sweep locally.
@@ -63,6 +69,7 @@
 #include <map>
 #include <string>
 
+#include "hw/hardware_model.hh"
 #include "serve/server.hh"
 #include "test_util.hh"
 #include "util/rng.hh"
@@ -269,6 +276,74 @@ referenceTokens(const serve::Request &r, ReferenceCache &cache)
         .first->second;
 }
 
+/**
+ * (10) Rebuild every decode iteration's bounds from the step spans'
+ * op-class breakdowns. Stage pricing sums per-stage maxima, which
+ * the spans do not carry, so its upper bound sums every session's
+ * shared time instead.
+ */
+void
+checkIterationPricing(const Scenario &sc, const serve::FleetStats &fleet)
+{
+    const auto &topo = sc.opts.sched.topology;
+    const int n_decode = topo.devices - topo.prefill_devices;
+    const bool stage_priced =
+        sc.opts.engine.pp > 1 && sc.opts.sched.stage_pricing;
+    struct Span
+    {
+        int device;
+        double shared_s;
+        double private_s;
+    };
+    std::map<double, std::vector<Span>> spans; // by iteration start
+    for (const auto &ev : fleet.trace) {
+        if ((ev.kind != obs::TraceKind::Step &&
+             ev.kind != obs::TraceKind::PrefillChunk) ||
+            ev.device >= n_decode)
+            continue; // prefill devices run their own timelines
+        Span sp{ev.device, 0.0, 0.0};
+        for (const auto &[cls, sec] : ev.op_s) {
+            if (hw::isBatchAmortized(static_cast<hw::OpClass>(cls)))
+                sp.shared_s += sec;
+            else
+                sp.private_s += sec;
+        }
+        spans[ev.t0].push_back(sp);
+    }
+    for (const auto &ev : fleet.trace) {
+        const double dt = ev.t1 - ev.t0;
+        if (ev.kind != obs::TraceKind::Iteration || dt == 0.0)
+            continue;
+        const auto it = spans.find(ev.t0);
+        if (it == spans.end())
+            continue; // every session idled mid-DMA
+        double lo = 0.0, hi = 0.0;
+        bool solo = true;
+        for (int d = 0; d < n_decode; ++d) {
+            double shared = 0.0, priv = 0.0;
+            int n = 0;
+            for (const auto &sp : it->second) {
+                if (sp.device != d)
+                    continue;
+                ++n;
+                shared = stage_priced ? shared + sp.shared_s
+                                      : std::max(shared, sp.shared_s);
+                priv += sp.private_s;
+                lo = std::max(lo, sp.shared_s + sp.private_s);
+            }
+            hi = std::max(hi, shared + priv);
+            solo = solo && n <= 1;
+        }
+        const double tol = 1e-9 * dt + 1e-12;
+        EXPECT_GE(dt, lo - tol) << "iteration at t=" << ev.t0;
+        EXPECT_LE(dt, hi + tol) << "iteration at t=" << ev.t0;
+        if (solo) {
+            EXPECT_NEAR(dt, lo, tol)
+                << "lone session saved launch time at t=" << ev.t0;
+        }
+    }
+}
+
 void
 checkInvariants(const Scenario &sc, const RunCapture &cap,
                 ReferenceCache &refs)
@@ -429,6 +504,7 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
                 << ev.lane << " at t=" << ev.t0;
             end = std::max(end, ev.t1);
         }
+        checkIterationPricing(sc, fleet);
     }
     if (sc.opts.sched.timeline.window_s <= 0.0) {
         EXPECT_TRUE(fleet.timeline.empty());
