@@ -1,9 +1,10 @@
 /**
  * @file
  * Kernel micro-benchmarks (google-benchmark): the functional-kernel
- * costs behind the paper's claims — full vs sliced LM head (Fig. 2b),
- * grouped hyper-token GEMV (Fig. 13), Q4 vs fp32 GEMV (AWQ), the
- * predictor MLP, and the sparse FFN (PowerInfer).
+ * costs behind the paper's claims — full (per state or blocked over a
+ * batch) vs sliced LM head (Fig. 2b), grouped hyper-token GEMV
+ * (Fig. 13), Q4 vs fp32 GEMV (AWQ), the predictor MLP, and the sparse
+ * FFN (PowerInfer).
  */
 
 #include <benchmark/benchmark.h>
@@ -65,6 +66,38 @@ BM_LmHeadFull(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * f.cfg.sim.vocab);
 }
 BENCHMARK(BM_LmHeadFull);
+
+/**
+ * Full logits of V hidden states from one blocked GEMM (the profiling
+ * path, LmHead::fullBatch). Bytes processed count the head once per
+ * state, as V calls of BM_LmHeadFull would: the gain over V times
+ * that row is the head traffic the blocking saves.
+ */
+static void
+BM_LmHeadFullBatch(benchmark::State &state)
+{
+    auto &f = headFixture();
+    const size_t n = static_cast<size_t>(state.range(0));
+    const size_t vocab = static_cast<size_t>(f.cfg.sim.vocab);
+    std::vector<tensor::Vec> hiddens_storage;
+    std::vector<tensor::CSpan> hiddens;
+    for (size_t v = 0; v < n; ++v)
+        hiddens_storage.push_back(randomVec(f.cfg.sim.hidden, 200 + v));
+    for (auto &h : hiddens_storage)
+        hiddens.push_back(h);
+    tensor::Vec logits(n * vocab);
+    for (auto _ : state) {
+        f.head.fullBatch(hiddens, logits);
+        benchmark::DoNotOptimize(logits.data());
+        benchmark::ClobberMemory();
+    }
+    const long head_bytes = static_cast<long>(f.w.embedding().byteSize());
+    state.SetBytesProcessed(state.iterations() * static_cast<long>(n) *
+                            head_bytes);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<long>(n * vocab));
+}
+BENCHMARK(BM_LmHeadFullBatch)->Arg(1)->Arg(24)->Arg(31);
 
 static void
 BM_LmHeadSliced(benchmark::State &state)

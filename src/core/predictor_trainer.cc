@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
 
 #include "core/features.hh"
+#include "model/kv_arena.hh"
 #include "tensor/kernels.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
@@ -21,6 +23,13 @@ ProfileData::totalSamples() const
 
 namespace {
 
+/**
+ * Tokens per full-head GEMM when profiling. The head streams once per
+ * batch; a batch's logits (kHeadBatch x vocab) are live per instance
+ * on every core, so a larger batch buys little speed for its memory.
+ */
+constexpr size_t kHeadBatch = 8;
+
 /** Empty per-layer datasets for a model of `cfg`. */
 ProfileData
 emptyProfile(const model::ModelConfig &cfg)
@@ -36,6 +45,16 @@ emptyProfile(const model::ModelConfig &cfg)
 /**
  * Profile one instance on `tm` (reset to `noise_stream`), with the
  * draft model's proposals for its steps already drawn in `specs`.
+ *
+ * Teacher-forced and layer-major: every token's steering state is
+ * drawn first, in token order, then layer 0 runs for all tokens in
+ * token order, then layer 1, and so on over the instance's one KV
+ * store. Each layer's weights thus stay cached across the tokens,
+ * and the tokens' full-head logits after a layer come from blocked
+ * GEMMs over kHeadBatch tokens, each reading the head once. Token t
+ * attends to exactly the rows a token-major run shows it, and samples
+ * are appended in the same order, so the data is bit-identical to
+ * one. The last layer feeds no sample and never runs.
  */
 ProfileData
 collectInstance(const workload::Instance &inst, model::TargetModel &tm,
@@ -44,50 +63,72 @@ collectInstance(const workload::Instance &inst, model::TargetModel &tm,
 {
     const model::ModelConfig &cfg = tm.config();
     const int n_exit = cfg.n_layers - 1;
+    const size_t n_tok = inst.steps.size();
+    const size_t vocab = static_cast<size_t>(cfg.sim.vocab);
     ProfileData data = emptyProfile(cfg);
-    FeatureExtractor fx(cfg.num_spec_tokens);
-    tensor::Vec full_logits(static_cast<size_t>(cfg.sim.vocab));
+
+    // Teacher forcing: each step reads the previous step's target.
+    std::vector<int> inputs(n_tok);
+    for (size_t t = 0; t < n_tok; ++t)
+        inputs[t] = t == 0 ? inst.prompt.back() : inst.steps[t - 1].target;
 
     tm.reset(noise_stream);
     tm.prefill(inst.prompt);
-    int prev = inst.prompt.back();
-    for (size_t s = 0; s < inst.steps.size(); ++s) {
-        const auto &script = inst.steps[s];
-        fx.beginToken(specs[s]);
-        tm.beginToken(prev, script);
+    std::vector<model::SequenceState> toks =
+        tm.beginTokens(inputs, inst.steps);
+    std::vector<FeatureExtractor> fx(
+        n_tok, FeatureExtractor(cfg.num_spec_tokens));
+    std::vector<tensor::CSpan> hiddens, feats(n_tok);
+    for (size_t t = 0; t < n_tok; ++t) {
+        fx[t].beginToken(specs[t]);
+        hiddens.emplace_back(toks[t].hidden);
+    }
+    // One mapping of its own (KvArena): a heap block this size would
+    // stay cached in each worker's malloc arena after the instance.
+    const size_t head_rows = std::min(kHeadBatch, n_tok);
+    model::KvArena logit_rows(head_rows, vocab);
+    const tensor::Span logits(logit_rows.row(0).data(), head_rows * vocab);
+    std::vector<int> first_true(n_tok, -1);
 
-        int first_true = -1;
-        for (int l = 0; l < n_exit; ++l) {
+    for (int l = 0; l < n_exit; ++l) {
+        for (size_t t = 0; t < n_tok; ++t) {
+            tm.bindSequence(&toks[t]);
             tm.runLayer();
-            if (l == 0) {
-                // RAEE probe: the hidden state after layer 0.
-                tensor::CSpan h = tm.hidden();
-                data.raee_probes.emplace_back(h.begin(), h.end());
-            }
-            tensor::CSpan feats = fx.extract(tm);
-
-            tm.lmHead().full(tm.hidden(), full_logits);
-            const int global =
-                static_cast<int>(tensor::argmax(full_logits));
-            // Label per §7.4.4: exiting here emits the same token as
-            // the full forward pass (which emits the script target by
-            // construction).
-            const float label = global == script.target ? 1.0f : 0.0f;
-            data.specee[static_cast<size_t>(l)].add(feats, label);
-
-            auto af = adaInferFeatures(full_logits);
-            data.adainfer[static_cast<size_t>(l)].add(
-                tensor::CSpan(af.data(), af.size()), label);
-
-            if (label > 0.5f && first_true < 0)
-                first_true = l;
+            if (l == 0) // RAEE probe: the hidden state after layer 0.
+                data.raee_probes.push_back(toks[t].hidden);
+            feats[t] = fx[t].extract(tm);
         }
-        if (first_true >= 0)
-            ++data.oracle_exit_hist[static_cast<size_t>(first_true)];
-        data.raee_exits.push_back(first_true >= 0 ? first_true
-                                                  : cfg.n_layers - 1);
-        tm.runRemainingLayers();
-        prev = script.target;
+        for (size_t t0 = 0; t0 < n_tok; t0 += kHeadBatch) {
+            const size_t nb = std::min(kHeadBatch, n_tok - t0);
+            tm.lmHead().fullBatch(std::span(hiddens).subspan(t0, nb),
+                                  logits.first(nb * vocab));
+            for (size_t t = t0; t < t0 + nb; ++t) {
+                const tensor::Span full_logits =
+                    logits.subspan((t - t0) * vocab, vocab);
+                const int global =
+                    static_cast<int>(tensor::argmax(full_logits));
+                // Label per §7.4.4: exiting here emits the same token
+                // as the full forward pass (which emits the script
+                // target by construction).
+                const float label =
+                    global == inst.steps[t].target ? 1.0f : 0.0f;
+                data.specee[static_cast<size_t>(l)].add(feats[t], label);
+
+                auto af = adaInferFeatures(full_logits);
+                data.adainfer[static_cast<size_t>(l)].add(
+                    tensor::CSpan(af.data(), af.size()), label);
+
+                if (label > 0.5f && first_true[t] < 0)
+                    first_true[t] = l;
+            }
+        }
+    }
+    tm.bindSequence(nullptr);
+
+    for (int first : first_true) {
+        if (first >= 0)
+            ++data.oracle_exit_hist[static_cast<size_t>(first)];
+        data.raee_exits.push_back(first >= 0 ? first : cfg.n_layers - 1);
     }
     return data;
 }

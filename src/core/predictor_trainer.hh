@@ -78,6 +78,15 @@ class PredictorTrainer
      * the instances run in parallel, each on its own model over those
      * weights, and `tm` itself is left untouched. The result does not
      * depend on the number of workers.
+     *
+     * Each instance is profiled teacher-forced and layer-major: one
+     * layer runs for all of its tokens before the next, so the
+     * layer's weights stay cached across them, and the tokens'
+     * full-head logits after a layer come from blocked GEMMs
+     * (LmHead::fullBatch) that read the head once per 8 tokens rather
+     * than once per token. The samples are bit-identical to, and in
+     * the order of, a token-major run that decodes each token through
+     * every layer.
      */
     static ProfileData collect(const workload::Workload &w,
                                const model::TargetModel &tm,

@@ -74,8 +74,9 @@ struct StepCost
     int stages_used = 0;
 
     /**
-     * Layers at which this step charged a SpecEE predictor event
-     * (sliced head + MLP, Engine::predictorLaunch each). Set by
+     * Layers at which this step charged a predictor event (SpecEE's
+     * sliced head + MLP, or AdaInfer's SVM; Engine::predictorLaunch
+     * each). Set by
      * per-token charges only: token-tree passes already merge their
      * lanes into one pipeline per layer and leave this empty.
      */

@@ -341,7 +341,11 @@ LaunchCost
 Engine::predictorLaunch() const
 {
     const hw::HardwareSpec &s = cost_->spec();
-    const double head_s = kSlicedHeadKernels * s.launch_overhead_us * 1e-6;
+    // AdaInfer's event is its SVM alone: it reads the full head
+    // (chargeLmHeadFull), not the sliced-head pipeline.
+    const bool sliced = ecfg_.early_exit || !ecfg_.adainfer;
+    const double head_s =
+        sliced ? kSlicedHeadKernels * s.launch_overhead_us * 1e-6 : 0.0;
     const double mlp_s = kPredictorKernels * s.launch_overhead_us * 1e-6 +
                          s.predictor_stall_us * 1e-6;
     const auto power = [&](hw::OpClass c) {
@@ -609,6 +613,7 @@ Engine::decodeToken(int input_token, const model::TokenScript &script,
             if (log != nullptr) {
                 chargeLmHeadFull(*log, 1);
                 chargePredictor(*log, 1, 1);
+                out.predictor_layers.set(static_cast<size_t>(l));
             }
             tm_->lmHead().full(tm_->hidden(), full_logits);
             const int global =

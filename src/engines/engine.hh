@@ -185,11 +185,12 @@ class Engine
     int nExitLayers() const { return mcfg_.n_layers - 1; }
 
     /**
-     * Launch share of one predictor event: the sliced-head and MLP
-     * kernel launches (plus the platform's predictor stall) that
-     * chargeLmHeadSliced and chargePredictor add per activated layer.
-     * A batch that evaluates predictors at the same layer issues this
-     * pipeline once.
+     * Launch share of one predictor event of this engine: the
+     * sliced-head and MLP kernel launches (plus the platform's
+     * predictor stall) that chargeLmHeadSliced and chargePredictor add
+     * per activated layer; an AdaInfer engine's event is the SVM's
+     * chargePredictor share alone. A batch that evaluates predictors
+     * at the same layer issues this pipeline once.
      */
     LaunchCost predictorLaunch() const;
 

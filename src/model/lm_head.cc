@@ -29,6 +29,22 @@ LmHead::full(tensor::CSpan hidden_state, tensor::Span logits) const
 }
 
 void
+LmHead::fullBatch(std::span<const tensor::CSpan> hidden_states,
+                  tensor::Span logits) const
+{
+    const size_t n = hidden_states.size();
+    const size_t h = embedding_.cols();
+    specee_assert(logits.size() == n * embedding_.rows(),
+                  "batched full logits size");
+    batchScratch_.resize(n * h);
+    for (size_t v = 0; v < n; ++v) {
+        tensor::rmsnorm(hidden_states[v], rmsFinal_,
+                        tensor::Span(batchScratch_).subspan(v * h, h));
+    }
+    embedding_.gemvBatch(batchScratch_, logits);
+}
+
+void
 LmHead::sliced(tensor::CSpan hidden_state, const std::vector<int> &tokens,
                tensor::Span out) const
 {

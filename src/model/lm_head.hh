@@ -14,6 +14,7 @@
 #ifndef SPECEE_MODEL_LM_HEAD_HH
 #define SPECEE_MODEL_LM_HEAD_HH
 
+#include <span>
 #include <vector>
 
 #include "model/weights.hh"
@@ -41,6 +42,15 @@ class LmHead
     /** Full-vocabulary logits (the expensive online search). */
     void full(tensor::CSpan hidden_state, tensor::Span logits) const;
 
+    /**
+     * Full logits of several hidden states: logits packs one
+     * vocab-wide row per state, each bit-identical to full() on it.
+     * The head is read once for the whole batch (one blocked GEMM,
+     * WeightMat::gemvBatch) instead of once per state.
+     */
+    void fullBatch(std::span<const tensor::CSpan> hidden_states,
+                   tensor::Span logits) const;
+
     /** Logits for selected tokens only (speculative LM head). */
     void sliced(tensor::CSpan hidden_state, const std::vector<int> &tokens,
                 tensor::Span out) const;
@@ -66,6 +76,7 @@ class LmHead
     const WeightMat &embedding_;
     const tensor::Vec &rmsFinal_;
     mutable tensor::Vec scratch_;
+    mutable tensor::Vec batchScratch_; ///< fullBatch's normed states
 };
 
 } // namespace specee::model

@@ -18,6 +18,38 @@ unitize(tensor::Span v)
         tensor::scaleInplace(v, 1.0f / n);
 }
 
+/**
+ * Non-owning KvStore forwarding to another store: the per-token
+ * states of beginTokens() all read and write their sequence's KV.
+ */
+class KvView final : public KvStore
+{
+  public:
+    explicit KvView(KvStore &kv) : kv_(kv) {}
+
+    int
+    append(int layer, tensor::CSpan k, tensor::CSpan v) override
+    {
+        return kv_.append(layer, k, v);
+    }
+    tensor::CSpan
+    key(int layer, int pos) const override
+    {
+        return kv_.key(layer, pos);
+    }
+    tensor::CSpan
+    value(int layer, int pos) const override
+    {
+        return kv_.value(layer, pos);
+    }
+    int length(int layer) const override { return kv_.length(layer); }
+    void truncate(int new_len) override { kv_.truncate(new_len); }
+    void clear() override { kv_.clear(); }
+
+  private:
+    KvStore &kv_;
+};
+
 } // namespace
 
 std::pair<tensor::WeightBackend, tensor::WeightBackend>
@@ -140,6 +172,33 @@ TargetModel::beginToken(int input_token, const TokenScript &script)
 {
     SequenceState &s = *seq_;
     specee_assert(!s.inToken, "beginToken during a decode step");
+    drawToken(s, s.noiseRng, input_token, script);
+}
+
+std::vector<SequenceState>
+TargetModel::beginTokens(const std::vector<int> &inputs,
+                         const std::vector<TokenScript> &scripts)
+{
+    SequenceState &base = *seq_;
+    specee_assert(!base.inToken, "beginTokens during a decode step");
+    specee_assert(inputs.size() == scripts.size(),
+                  "beginTokens: %zu inputs but %zu scripts",
+                  inputs.size(), scripts.size());
+    std::vector<SequenceState> toks;
+    toks.reserve(inputs.size());
+    for (size_t t = 0; t < inputs.size(); ++t) {
+        SequenceState &s = toks.emplace_back(
+            makeSequence(std::make_unique<KvView>(*base.kv)));
+        s.pos = base.pos++;
+        drawToken(s, base.noiseRng, inputs[t], scripts[t]);
+    }
+    return toks;
+}
+
+void
+TargetModel::drawToken(SequenceState &s, Rng &noise, int input_token,
+                       const TokenScript &script)
+{
     specee_assert(input_token >= 0 && input_token < cfg_.sim.vocab,
                   "input token out of range");
     specee_assert(script.target >= 0 && script.target < cfg_.sim.vocab &&
@@ -162,8 +221,7 @@ TargetModel::beginToken(int input_token, const TokenScript &script)
         nu / std::sqrt(static_cast<float>(cfg_.sim.hidden));
     for (size_t i = 0; i < s.dirTarget.size(); ++i) {
         s.dirTarget[i] =
-            erow_[i] +
-            static_cast<float>(s.noiseRng.normal(0.0, per_dim));
+            erow_[i] + static_cast<float>(noise.normal(0.0, per_dim));
     }
     unitize(s.dirTarget);
 
@@ -171,8 +229,7 @@ TargetModel::beginToken(int input_token, const TokenScript &script)
                                  s.dirDistractor);
 
     const float j = opts_.steer.distractor_jitter;
-    s.distractorScale =
-        static_cast<float>(s.noiseRng.uniform(1.0 - j, 1.0 + j));
+    s.distractorScale = static_cast<float>(noise.uniform(1.0 - j, 1.0 + j));
 }
 
 void

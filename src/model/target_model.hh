@@ -196,6 +196,25 @@ class TargetModel
     /** Begin a decode step for `input_token` under `script`. */
     void beginToken(int input_token, const TokenScript &script);
 
+    /**
+     * Begin teacher-forced decode steps for a run of tokens at once:
+     * token t reads inputs[t] at position position() + t under
+     * scripts[t]. Steering noise is drawn in token order from the
+     * bound sequence's stream, exactly as beginToken() per token
+     * would, and the bound sequence's position moves past the run.
+     *
+     * Returns one state per token, each over a view of the bound
+     * sequence's KV store; bind a state and runLayer() to advance its
+     * token. Run layer l of a token only after layer l of every
+     * earlier token of the run: each token then attends to exactly
+     * the rows it would see decoding one token at a time, so its
+     * hidden states are bit-identical. The states must not outlive
+     * the sequence they were begun on.
+     */
+    std::vector<SequenceState>
+    beginTokens(const std::vector<int> &inputs,
+                const std::vector<TokenScript> &scripts);
+
     /** Layer that runLayer() would execute next (0-based). */
     int currentLayer() const { return seq_->layer; }
 
@@ -237,6 +256,13 @@ class TargetModel
     const KvStore &kv() const { return *seq_->kv; }
 
   private:
+    /**
+     * Start a token on `s`: embed `input_token` and draw its steering
+     * directions from `noise`.
+     */
+    void drawToken(SequenceState &s, Rng &noise, int input_token,
+                   const TokenScript &script);
+
     /** Apply convergence steering to the raw layer output. */
     void steer(int layer_just_run);
 

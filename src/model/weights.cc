@@ -29,6 +29,12 @@ WeightMat::gemv(tensor::CSpan x, tensor::Span y) const
 }
 
 void
+WeightMat::gemvBatch(tensor::CSpan xs, tensor::Span ys) const
+{
+    store().gemvBatch(xs, ys);
+}
+
+void
 WeightMat::gemvRows(const std::vector<int> &rows, tensor::CSpan x,
                     tensor::Span y) const
 {

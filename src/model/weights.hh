@@ -38,6 +38,8 @@ class WeightMat
     WeightMat(tensor::Matrix dense, tensor::WeightBackend backend);
 
     void gemv(tensor::CSpan x, tensor::Span y) const;
+    /** gemv of every vector packed in xs (WeightStore::gemvBatch). */
+    void gemvBatch(tensor::CSpan xs, tensor::Span ys) const;
     void gemvRows(const std::vector<int> &rows, tensor::CSpan x,
                   tensor::Span y) const;
 

@@ -1,5 +1,6 @@
 #include "tensor/simd.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -37,6 +38,28 @@ gemvF32Scalar(const float *w, size_t rows, size_t n, const float *x,
 {
     for (size_t r = 0; r < rows; ++r)
         y[r] = dotF32Scalar(w + r * n, x, n);
+}
+
+/** Bytes of w one gemmF32 block holds: it stays in L1 across vectors. */
+constexpr size_t kGemmBlockBytes = 16 * 1024;
+
+/**
+ * gemmF32 over any gemv kernel: blocks of whole rows, a multiple of
+ * four (the AVX2 kernel's row group), each swept by every vector.
+ */
+template <typename Gemv>
+void
+blockedGemm(const float *w, size_t rows, size_t n, const float *x,
+            size_t n_vec, float *y, Gemv gemv)
+{
+    const size_t row_bytes = sizeof(float) * std::max<size_t>(n, 1);
+    const size_t block =
+        4 * std::max<size_t>(kGemmBlockBytes / (4 * row_bytes), 1);
+    for (size_t r0 = 0; r0 < rows; r0 += block) {
+        const size_t nr = std::min(block, rows - r0);
+        for (size_t v = 0; v < n_vec; ++v)
+            gemv(w + r0 * n, nr, n, x + v * n, y + v * rows + r0);
+    }
 }
 
 float
@@ -305,6 +328,19 @@ gemvF32(const float *w, size_t rows, size_t n, const float *x, float *y)
     }
 #endif
     gemvF32Scalar(w, rows, n, x, y);
+}
+
+void
+gemmF32(const float *w, size_t rows, size_t n, const float *x,
+        size_t n_vec, float *y)
+{
+#if SPECEE_SIMD_X86
+    if (activeLevel() == Level::Avx2) {
+        blockedGemm(w, rows, n, x, n_vec, y, gemvF32Avx2);
+        return;
+    }
+#endif
+    blockedGemm(w, rows, n, x, n_vec, y, gemvF32Scalar);
 }
 
 float

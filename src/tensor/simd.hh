@@ -69,6 +69,17 @@ float dotF32(const float *a, const float *b, size_t n);
 void gemvF32(const float *w, size_t rows, size_t n, const float *x,
              float *y);
 
+/**
+ * Row-major fp32 matrix times `n_vec` vectors packed row-major in x:
+ * y[v * rows + r] = dotF32(w + r * n, x + v * n, n). The rows are
+ * walked in cache-sized blocks and each block runs gemvF32's kernel
+ * for every vector before the next block is read, so w streams from
+ * memory once per call instead of once per vector. Every result runs
+ * the operations gemvF32 runs for it and is bit-identical to it.
+ */
+void gemmF32(const float *w, size_t rows, size_t n, const float *x,
+             size_t n_vec, float *y);
+
 /** sum_i q[i] * x[i] with int8 weights (Q8 row dot, pre-scale). */
 float dotQ8(const int8_t *q, const float *x, size_t n);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "tensor/kernels.hh"
+#include "tensor/simd.hh"
 #include "util/logging.hh"
 
 namespace specee::tensor {
@@ -54,6 +55,31 @@ weightCompression(WeightBackend b)
     return modeledBitsPerWeight(b) / 16.0;
 }
 
+namespace {
+
+/** Vectors a gemvBatch call on `w` packs in xs (shapes checked). */
+size_t
+batchVectors(const WeightStore &w, CSpan xs, Span ys)
+{
+    const size_t n_vec = w.cols() > 0 ? xs.size() / w.cols() : 0;
+    specee_assert(xs.size() == n_vec * w.cols() &&
+                      ys.size() == n_vec * w.rows(),
+                  "gemvBatch shape mismatch");
+    return n_vec;
+}
+
+} // namespace
+
+void
+WeightStore::gemvBatch(CSpan xs, Span ys) const
+{
+    const size_t n_vec = batchVectors(*this, xs, ys);
+    for (size_t v = 0; v < n_vec; ++v) {
+        gemv(xs.subspan(v * cols(), cols()),
+             ys.subspan(v * rows(), rows()));
+    }
+}
+
 void
 WeightStore::copyRow(size_t r, Span out) const
 {
@@ -89,6 +115,13 @@ void
 Fp32Store::gemv(CSpan x, Span y) const
 {
     tensor::gemv(m_, x, y);
+}
+
+void
+Fp32Store::gemvBatch(CSpan xs, Span ys) const
+{
+    simd::gemmF32(m_.data(), m_.rows(), m_.cols(), xs.data(),
+                  batchVectors(*this, xs, ys), ys.data());
 }
 
 void

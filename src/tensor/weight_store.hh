@@ -74,6 +74,15 @@ class WeightStore
     /** y = W x (dequantize-on-the-fly for compressed backends). */
     virtual void gemv(CSpan x, Span y) const = 0;
 
+    /**
+     * gemv over a batch: xs packs the batch's vectors row-major
+     * (cols() floats each) and ys receives W x for each of them in
+     * turn (rows() floats each), every output bit-identical to gemv().
+     * This default runs gemv() per vector; the fp32 store streams its
+     * matrix once for the whole batch (simd::gemmF32).
+     */
+    virtual void gemvBatch(CSpan xs, Span ys) const;
+
     /** y[i] = W.row(rows[i]) . x — the speculative LM head slice. */
     virtual void gemvRows(const std::vector<int> &rows, CSpan x,
                           Span y) const = 0;
@@ -109,6 +118,7 @@ class Fp32Store final : public WeightStore
     size_t cols() const override { return m_.cols(); }
     size_t byteSize() const override { return m_.byteSize(); }
     void gemv(CSpan x, Span y) const override;
+    void gemvBatch(CSpan xs, Span ys) const override;
     void gemvRows(const std::vector<int> &rows, CSpan x,
                   Span y) const override;
     float rowDot(size_t r, CSpan x) const override;

@@ -48,6 +48,33 @@ TEST(LmHead, SlicedEqualsGatherOfFull)
         EXPECT_FLOAT_EQ(sliced[i], full[static_cast<size_t>(toks[i])]);
 }
 
+TEST(LmHead, FullBatchEqualsPerStateFull)
+{
+    // One blocked GEMM over the head gives each state exactly (==)
+    // the logits full() gives it, under both weight backends.
+    for (auto b : {tensor::WeightBackend::Fp32, tensor::WeightBackend::Q8}) {
+        ModelConfig cfg = ModelConfig::tiny();
+        Weights w(cfg, b, b);
+        LmHead head(w.embedding(), w.rmsFinal());
+        const size_t vocab = static_cast<size_t>(cfg.sim.vocab);
+        std::vector<tensor::Vec> states;
+        std::vector<tensor::CSpan> hiddens;
+        for (uint64_t s = 0; s < 5; ++s)
+            states.push_back(randomVec(cfg.sim.hidden, 40 + s));
+        for (const auto &h : states)
+            hiddens.push_back(h);
+        tensor::Vec batch(states.size() * vocab), one(vocab);
+        head.fullBatch(hiddens, batch);
+        for (size_t v = 0; v < states.size(); ++v) {
+            head.full(states[v], one);
+            for (size_t r = 0; r < vocab; ++r)
+                ASSERT_EQ(batch[v * vocab + r], one[r])
+                    << tensor::weightBackendName(b) << " state " << v
+                    << " token " << r;
+        }
+    }
+}
+
 TEST(LmHead, GroupedEqualsPerGroupSliced)
 {
     Fixture f;

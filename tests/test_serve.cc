@@ -369,6 +369,43 @@ TEST(BatchScheduler, MergesPerLayerLaunchesAcrossTheBatch)
     EXPECT_NEAR(rep.fleet.launch_merged_s, saved, 1e-9 * saved);
 }
 
+TEST(BatchScheduler, MergesAdaInferSvmLaunchesAcrossTheBatch)
+{
+    // AdaInfer evaluates its SVM after every layer it runs. Four
+    // identical requests in lockstep launch each layer's SVM once for
+    // the batch, as SpecEE's predictor pipelines do.
+    const auto &pipe = testutil::tinyPipeline();
+    const auto stream = identicalRequests(4, 12);
+    auto opts = serverOpts(1, 4);
+    opts.engine = engines::EngineConfig::adaInfer();
+    opts.sched.trace.enabled = true;
+    serve::Server server(pipe, opts);
+    server.submit(stream);
+    const auto rep = server.drain();
+
+    auto eng = pipe.makeEngine(opts.engine, opts.spec);
+    const auto iters = lockstepCosts(pipe, *eng, stream.front(), 4);
+    const auto spans = iterationSpans(rep.fleet);
+    ASSERT_EQ(spans.size(), iters.size());
+    double saved = 0.0;
+    bool any_predictor = false;
+    for (size_t i = 0; i < iters.size(); ++i) {
+        const double merged = mergedTime(iters[i], *eng);
+        EXPECT_NEAR(spans[i], merged, 1e-9 * merged) << "iteration " << i;
+        EXPECT_LT(spans[i], summedTime(iters[i])) << "iteration " << i;
+        saved += summedTime(iters[i]) - merged;
+        any_predictor |= iters[i].front().predictor_layers.any();
+    }
+    EXPECT_TRUE(any_predictor);
+    EXPECT_NEAR(rep.fleet.launch_merged_s, saved, 1e-9 * saved);
+
+    // AdaInfer issues no sliced head, so its event is cheaper than
+    // SpecEE's (which adds the sliced-head launches).
+    auto specee = pipe.makeEngine(serverOpts(1, 4).engine, opts.spec);
+    EXPECT_GT(eng->predictorLaunch().s, 0.0);
+    EXPECT_LT(eng->predictorLaunch().s, specee->predictorLaunch().s);
+}
+
 TEST(BatchScheduler, LaunchMergeStaysWithinEachDevice)
 {
     // Two unified devices, two sessions each: a device merges only

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tensor kernel tests: GEMV variants, softmax, top-k, RMSNorm, RoPE.
+ * Tensor kernel tests: GEMV variants (and the blocked multi-vector
+ * GEMM behind them), softmax, top-k, RMSNorm, RoPE.
  * Includes parameterized shape sweeps (property-style).
  */
 
@@ -12,6 +13,7 @@
 
 #include "tensor/kernels.hh"
 #include "tensor/simd.hh"
+#include "tensor/weight_store.hh"
 #include "util/rng.hh"
 
 using namespace specee;
@@ -101,6 +103,84 @@ TEST(Kernels, GemvIsBitIdenticalToPerRowDotAtEveryDispatchLevel)
                     << simd::levelName(simd::activeLevel()) << " " << rows
                     << "x" << n << " row " << r;
                 EXPECT_EQ(yk[r], ref);
+            }
+        }
+    }
+    simd::setLevel(saved);
+}
+
+TEST(Kernels, GemmIsBitIdenticalToPerVectorGemvAtEveryDispatchLevel)
+{
+    // The blocked multi-vector kernel runs gemvF32's operations for
+    // every (row, vector) pair, so each output equals (==) the
+    // per-vector gemv. Shapes cover rows % 4 != 0, a row count above
+    // one block, and every column tail (16-wide, 8-wide, scalar).
+    const std::pair<size_t, size_t> shapes[] = {
+        {4096, 192}, {516, 192}, {192, 516}, {512, 64}, {7, 13}};
+    const size_t batches[] = {1, 3, 24, 31};
+    const simd::Level saved = simd::activeLevel();
+    Rng rng(23);
+    for (simd::Level lvl : {simd::Level::Scalar, simd::Level::Avx2}) {
+        simd::setLevel(lvl); // unsupported AVX2 falls back to scalar
+        for (const auto &[rows, n] : shapes) {
+            Matrix w(rows, n);
+            for (size_t i = 0; i < w.size(); ++i)
+                w.data()[i] = static_cast<float>(rng.normal());
+            for (size_t n_vec : batches) {
+                Vec xs(n_vec * n);
+                for (auto &v : xs)
+                    v = static_cast<float>(rng.normal());
+                Vec ys(n_vec * rows), y(rows);
+                simd::gemmF32(w.data(), rows, n, xs.data(), n_vec,
+                              ys.data());
+                for (size_t v = 0; v < n_vec; ++v) {
+                    simd::gemvF32(w.data(), rows, n, xs.data() + v * n,
+                                  y.data());
+                    for (size_t r = 0; r < rows; ++r) {
+                        ASSERT_EQ(ys[v * rows + r], y[r])
+                            << simd::levelName(simd::activeLevel()) << " "
+                            << rows << "x" << n << " V=" << n_vec
+                            << " vector " << v << " row " << r;
+                    }
+                }
+            }
+        }
+    }
+    simd::setLevel(saved);
+}
+
+TEST(Kernels, WeightStoreBatchEqualsPerVectorGemvForEveryBackend)
+{
+    // gemvBatch is the store-level entry to the blocked kernel (fp32);
+    // the compressed backends loop over gemv. Either way each output
+    // vector equals gemv on its input, bit for bit.
+    const simd::Level saved = simd::activeLevel();
+    Rng rng(29);
+    for (simd::Level lvl : {simd::Level::Scalar, simd::Level::Avx2}) {
+        simd::setLevel(lvl);
+        for (WeightBackend b :
+             {WeightBackend::Fp32, WeightBackend::Q8, WeightBackend::Q4}) {
+            for (const auto &[rows, n] :
+                 {std::pair<size_t, size_t>{516, 192}, {7, 13}}) {
+                const auto store =
+                    makeWeightStore(randomMatrix(rows, n, rows + n), b);
+                for (size_t n_vec : {size_t{1}, size_t{3}, size_t{24}}) {
+                    Vec xs(n_vec * n);
+                    for (auto &v : xs)
+                        v = static_cast<float>(rng.normal());
+                    Vec ys(n_vec * rows), y(rows);
+                    store->gemvBatch(xs, ys);
+                    for (size_t v = 0; v < n_vec; ++v) {
+                        store->gemv(CSpan(xs).subspan(v * n, n), y);
+                        for (size_t r = 0; r < rows; ++r) {
+                            ASSERT_EQ(ys[v * rows + r], y[r])
+                                << simd::levelName(simd::activeLevel())
+                                << " " << weightBackendName(b) << " "
+                                << rows << "x" << n << " V=" << n_vec
+                                << " vector " << v << " row " << r;
+                        }
+                    }
+                }
             }
         }
     }

@@ -1,20 +1,24 @@
 /**
  * @file
  * Predictor training pipeline tests (§7.4.4): label collection,
- * per-layer dataset shapes, MLP/SVM training quality, and the
- * training-data-ratio behaviour behind Fig. 18.
+ * per-layer dataset shapes, MLP/SVM training quality, the
+ * training-data-ratio behaviour behind Fig. 18, and collect()'s
+ * equality with a token-major replay of the profile.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
 
+#include "core/features.hh"
 #include "core/predictor_trainer.hh"
 #include "model/draft_model.hh"
 #include "oracle/profiles.hh"
+#include "tensor/kernels.hh"
 #include "tensor/simd.hh"
 #include "test_util.hh"
 
@@ -250,4 +254,176 @@ TEST(Trainer, PipelineBuildsMatchRecordedDigests)
     bench.seed = 42;
     EXPECT_EQ(pipelineDigest(engines::Pipeline(bench)),
               avx2 ? 0x9a50bcea19e42d22ull : 0x40b1712e9180e368ull);
+}
+
+namespace {
+
+/**
+ * The token-major profiling loop, from public calls only: each
+ * instance decodes one token at a time through every layer and runs
+ * the full head per token and layer. Its draws follow collect(): one
+ * stream gives, in instance order, each instance's noise substream and
+ * then the draft model's speculations for its steps.
+ */
+core::ProfileData
+tokenMajorProfile(const workload::Workload &w, const model::TargetModel &tm,
+                  const model::DraftModel &dlm, uint64_t seed)
+{
+    const model::ModelConfig &cfg = tm.config();
+    const int n_exit = cfg.n_layers - 1;
+    core::ProfileData data;
+    data.specee.assign(static_cast<size_t>(n_exit),
+                       nn::Dataset(3 * cfg.num_spec_tokens));
+    data.adainfer.assign(static_cast<size_t>(n_exit), nn::Dataset(3));
+    data.oracle_exit_hist.assign(static_cast<size_t>(n_exit), 0);
+
+    Rng rng(seed);
+    model::TargetModel m(cfg, tm.options(), tm.sharedWeights());
+    core::FeatureExtractor fx(cfg.num_spec_tokens);
+    tensor::Vec full_logits(static_cast<size_t>(cfg.sim.vocab));
+    for (size_t ii = 0; ii < w.instances.size(); ++ii) {
+        const auto &inst = w.instances[ii];
+        const uint64_t noise = rng.fork(0x7e5e + ii).next();
+        std::vector<std::vector<int>> specs;
+        int prev = inst.prompt.back();
+        for (const auto &script : inst.steps) {
+            specs.push_back(dlm.speculate(prev, script.target,
+                                          cfg.num_spec_tokens, rng));
+            prev = script.target;
+        }
+
+        m.reset(noise);
+        m.prefill(inst.prompt);
+        prev = inst.prompt.back();
+        for (size_t s = 0; s < inst.steps.size(); ++s) {
+            const auto &script = inst.steps[s];
+            fx.beginToken(specs[s]);
+            m.beginToken(prev, script);
+            int first_true = -1;
+            for (int l = 0; l < n_exit; ++l) {
+                m.runLayer();
+                if (l == 0) {
+                    tensor::CSpan h = m.hidden();
+                    data.raee_probes.emplace_back(h.begin(), h.end());
+                }
+                tensor::CSpan feats = fx.extract(m);
+                m.lmHead().full(m.hidden(), full_logits);
+                const int global =
+                    static_cast<int>(tensor::argmax(full_logits));
+                const float label = global == script.target ? 1.0f : 0.0f;
+                data.specee[static_cast<size_t>(l)].add(feats, label);
+                auto af = core::adaInferFeatures(full_logits);
+                data.adainfer[static_cast<size_t>(l)].add(
+                    tensor::CSpan(af.data(), af.size()), label);
+                if (label > 0.5f && first_true < 0)
+                    first_true = l;
+            }
+            if (first_true >= 0)
+                ++data.oracle_exit_hist[static_cast<size_t>(first_true)];
+            data.raee_exits.push_back(first_true >= 0 ? first_true
+                                                      : cfg.n_layers - 1);
+            m.runRemainingLayers();
+            prev = script.target;
+        }
+    }
+    return data;
+}
+
+/** Byte equality of two float spans (tells -0 from 0, compares NaNs). */
+bool
+sameBytes(tensor::CSpan a, tensor::CSpan b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/** Instance and token of the i-th sample of a per-layer dataset. */
+std::string
+sampleName(const workload::Workload &w, size_t i)
+{
+    for (size_t ii = 0; ii < w.instances.size(); ++ii) {
+        const size_t n = w.instances[ii].steps.size();
+        if (i < n) {
+            return "instance " + std::to_string(ii) + " token " +
+                   std::to_string(i);
+        }
+        i -= n;
+    }
+    return "sample past the workload";
+}
+
+/** Checks `got` equals `want` byte for byte; names the first difference. */
+void
+expectSameProfile(const workload::Workload &w, const core::ProfileData &want,
+                  const core::ProfileData &got)
+{
+    const auto datasets = [&](const char *family,
+                              const std::vector<nn::Dataset> &a,
+                              const std::vector<nn::Dataset> &b) {
+        ASSERT_EQ(a.size(), b.size()) << family << " layer count";
+        for (size_t l = 0; l < a.size(); ++l) {
+            ASSERT_EQ(a[l].size(), b[l].size())
+                << family << " layer " << l << " sample count";
+            for (size_t i = 0; i < a[l].size(); ++i) {
+                const float ya = a[l].label(i), yb = b[l].label(i);
+                ASSERT_TRUE(sameBytes(a[l].features(i), b[l].features(i)) &&
+                            sameBytes({&ya, 1}, {&yb, 1}))
+                    << "first differing " << family << " sample: layer "
+                    << l << ", " << sampleName(w, i);
+            }
+        }
+    };
+    datasets("specee", want.specee, got.specee);
+    datasets("adainfer", want.adainfer, got.adainfer);
+    ASSERT_EQ(want.raee_probes.size(), got.raee_probes.size());
+    for (size_t i = 0; i < want.raee_probes.size(); ++i) {
+        ASSERT_TRUE(sameBytes(want.raee_probes[i], got.raee_probes[i]))
+            << "first differing RAEE probe: " << sampleName(w, i);
+    }
+    EXPECT_EQ(want.raee_exits, got.raee_exits);
+    EXPECT_EQ(want.oracle_exit_hist, got.oracle_exit_hist);
+}
+
+/**
+ * collect() against the token-major replay on the profiling inputs a
+ * Pipeline built with `o` gives it.
+ */
+void
+expectCollectMatchesTokenMajor(const engines::PipelineOptions &o)
+{
+    const auto cfg = model::ModelConfig::byName(o.model);
+    oracle::SyntheticCorpus corpus(cfg.sim.vocab, o.seed ^ 0xc0de);
+    const auto &profile = oracle::profileByName(o.train_dataset);
+    workload::WorkloadGen gen(corpus);
+    workload::GenOptions gopts;
+    gopts.n_instances = o.train_instances;
+    gopts.gen_len = o.train_gen_len;
+    gopts.seed = o.seed ^ 0x7a11;
+    const auto w = gen.generate(profile, cfg, gopts);
+    model::TargetModelOptions tm_opts;
+    tm_opts.noise_seed = cfg.weight_seed ^ 0xa0153;
+    const model::TargetModel tm(cfg, tm_opts);
+    const model::DraftModel dlm(cfg, corpus, profile.draft_hit_rate);
+    const uint64_t seed = o.seed ^ 0xc011;
+    expectSameProfile(w, tokenMajorProfile(w, tm, dlm, seed),
+                      core::PredictorTrainer::collect(w, tm, dlm, seed));
+}
+
+} // namespace
+
+TEST(Trainer, CollectEqualsTokenMajorReplayOnTinyPipelineWorkload)
+{
+    expectCollectMatchesTokenMajor(testutil::tinyPipelineOptions());
+}
+
+TEST(Trainer, CollectEqualsTokenMajorReplayOnBenchPipelineWorkload)
+{
+    // specbench's pipelineOptions(): llama2-7b at simulation dims.
+    engines::PipelineOptions o;
+    o.model = "llama2-7b";
+    o.train_instances = 4;
+    o.train_gen_len = 24;
+    o.train_cfg.epochs = 10;
+    o.seed = 42;
+    expectCollectMatchesTokenMajor(o);
 }
